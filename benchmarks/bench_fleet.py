@@ -27,9 +27,9 @@ Reported per worker count:
 Acceptance floors (CI-enforced): >= 2.5x throughput at 4 workers, and
 identical port-op totals at every worker count.  An 8-thread
 single-device stress leg (exact accounting + state parity vs a serial
-reference, every strategy — native included when a C compiler is
-present) rides along so a scheduling or locking regression fails this
-benchmark even when throughput looks healthy.  Results land in ``results/BENCH_fleet.{txt,json}``.
+reference, every strategy) rides along so a scheduling or locking
+regression fails this benchmark even when throughput looks healthy.
+Results land in ``results/BENCH_fleet.{txt,json}``.
 
 Runs standalone (``python benchmarks/bench_fleet.py [--quick]``, the
 CI smoke step) and under pytest via :func:`test_fleet_bench_quick`.
@@ -143,13 +143,8 @@ def render(rows, accounting, strategy, schedule_len, latency_us,
 
 def stress_leg(iterations: int) -> None:
     """The ISSUE acceptance stress: 8 threads against one device."""
-    from repro.devil.native import native_available
-
     schedule = [("ide", ide_sector_read)] * 16
-    strategies = ["interpret", "specialize", "generated"]
-    if native_available():
-        strategies.append("native")
-    for strategy in strategies:
+    for strategy in ("interpret", "specialize", "generated"):
         reference = None
         for _ in range(iterations):
             reference = run_stress(["ide"], schedule, workers=8,
@@ -165,8 +160,7 @@ def main(argv=None) -> int:
     parser.add_argument("--requests", type=int, default=None,
                         help="requests per spec in the mixed schedule")
     parser.add_argument("--strategy", default="specialize",
-                        choices=("interpret", "specialize", "generated",
-                                 "native", "auto"))
+                        choices=("interpret", "specialize", "generated"))
     parser.add_argument("--backend", default="thread",
                         choices=("thread", "process"),
                         help="fleet backend; the speedup floor applies "

@@ -115,23 +115,6 @@ CPU_VARIANTS = (
 )
 
 
-def cpu_variants():
-    """The CPU-leg columns, with a native thread column when a C
-    compiler is present.
-
-    The checksum mix holds the GIL in *request* code, so the native
-    column is an exactness cross-check here, not a scaling claim —
-    the dispatch-bound mix where the native core's GIL release wins
-    lives in ``bench_fleet_native.py``.
-    """
-    from repro.devil.native import native_available
-
-    variants = list(CPU_VARIANTS)
-    if native_available():
-        variants.append(("nat/thread", "thread",
-                         {"strategy": "native"}))
-    return tuple(variants)
-
 #: I/O-leg columns: ``proc/b=1`` pins the pre-batching transport
 #: (one queue message per request, per-request token resolution,
 #: reports on the reply queue) as the in-run baseline the batched
@@ -365,7 +348,7 @@ def main(argv=None) -> int:
     io_schedule = mixed_schedule(4 if args.quick else 16)
     cpu_count = os.cpu_count() or 1
 
-    cpu_rows, _ = scaling_leg(cpu_variants(), CPU_FLEET, cpu_schedule)
+    cpu_rows, _ = scaling_leg(CPU_VARIANTS, CPU_FLEET, cpu_schedule)
     io_rows, _ = scaling_leg(IO_VARIANTS, IO_FLEET, io_schedule,
                              IO_LATENCY_US, IO_WORD_LATENCY_US)
     verdicts, ok = check_floors(cpu_rows, io_rows, cpu_count,
@@ -413,11 +396,10 @@ def test_fleet_mp_bench_quick():
     the part that catches merge, batching and ring bugs — still
     asserts across every variant.
     """
-    variants = cpu_variants()
     cpu_rows, accounting = scaling_leg(
-        variants, CPU_FLEET, [("ide", ide_sector_checksum)] * 6)
+        CPU_VARIANTS, CPU_FLEET, [("ide", ide_sector_checksum)] * 6)
     assert accounting.total_ops > 0
-    assert len(cpu_rows) == len(variants) * len(WORKER_COUNTS)
+    assert len(cpu_rows) == len(CPU_VARIANTS) * len(WORKER_COUNTS)
     io_rows, _ = scaling_leg(IO_VARIANTS, IO_FLEET, mixed_schedule(2),
                              IO_LATENCY_US, IO_WORD_LATENCY_US)
     assert len(io_rows) == len(IO_VARIANTS) * len(WORKER_COUNTS)

@@ -77,28 +77,3 @@ def test_raw_bus_access(benchmark):
     bus.map_device(0x23C, 4, BusmouseModel(), "busmouse")
     benchmark(bus.outb, 0x91, 0x23F)
 
-
-def _native_mouse():
-    import pytest
-
-    from repro.devil.native import native_available
-    if not native_available():
-        pytest.skip("no C compiler")
-    bus = Bus()
-    bus.map_device(0x23C, 4, BusmouseModel(), "busmouse")
-    return compile_shipped("busmouse").bind(
-        bus, {"base": 0x23C}, debug=False, strategy="native")
-
-
-def test_native_stub_call(benchmark):
-    """One ctypes crossing per call — the honest single-call cost."""
-    device = _native_mouse()
-    benchmark(device.set_config, "CONFIGURATION")
-
-
-def test_native_batched_call(benchmark):
-    """1000 cache-served reads per C crossing; reported per batch."""
-    device = _native_mouse()
-    device.get_mouse_state()
-    device.repeat("get_dx", 16)
-    benchmark(device.repeat, "get_dx", 1000)

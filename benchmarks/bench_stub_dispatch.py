@@ -14,11 +14,6 @@ busmouse, IDE and Permedia2 machines for the three execution flavours:
 * ``generated`` — the standalone module from ``emit_python`` (the
   repository's stand-in for the paper's compiled C stubs).
 
-When a C compiler is present a fourth leg times a batched native
-``repeat()`` on the busmouse ``get_dx`` loop and enforces the
-``NATIVE_FLOOR`` over the specializer; the full native table lives in
-``bench_native.py``.
-
 Before timing, every workload is replayed on tracing buses and the
 I/O traces and accounting counters of all three flavours must be
 identical — speed must not change semantics.  The script asserts the
@@ -86,14 +81,6 @@ WORKLOADS = [
 #: on the two hot-path workloads (release mode).
 SPEEDUP_FLOOR = 3.0
 FLOOR_WORKLOADS = ("busmouse/get_dx", "ide/status_poll")
-
-#: Acceptance floor for the fourth strategy: a batched native
-#: ``repeat()`` must beat the per-call specializer by this factor on
-#: the cache-served busmouse ``get_dx`` loop (release mode).  Only
-#: enforced when a C compiler is present; ``bench_native.py`` holds
-#: the full native table and the 10x tentpole floor.
-NATIVE_FLOOR = 5.0
-NATIVE_FLOOR_WORKLOAD = "busmouse/get_dx"
 
 
 def _machine(name: str, tracing: bool,
@@ -228,19 +215,6 @@ def run_bench(quick: bool = False, iterations: int | None = None,
     report = {"quick": quick, "iterations": iterations,
               "repeats": repeats, "speedup_floor": SPEEDUP_FLOOR,
               "rows": rows}
-
-    native_row = _native_batched_row(rows, iterations, repeats)
-    if native_row is not None:
-        report["native_batched"] = native_row
-        lines += [
-            "",
-            f"native batched {NATIVE_FLOOR_WORKLOAD} (release): "
-            f"{native_row['calls_per_sec']:,.0f} calls/s = "
-            f"{native_row['speedup_vs_specialize']:.1f}x specialize "
-            f"(floor {NATIVE_FLOOR}x)",
-        ]
-    else:
-        lines += ["", "native batched: skipped (no C compiler)"]
     record("BENCH_stub_dispatch", "\n".join(lines), data=report)
 
     for row in rows:
@@ -249,44 +223,7 @@ def run_bench(quick: bool = False, iterations: int | None = None,
                 f"{row['workload']}: specialized only " \
                 f"{row['speedup_specialize']:.2f}x interpreted " \
                 f"(floor {SPEEDUP_FLOOR}x)"
-    if native_row is not None:
-        assert native_row["speedup_vs_specialize"] >= NATIVE_FLOOR, \
-            f"{NATIVE_FLOOR_WORKLOAD}: batched native only " \
-            f"{native_row['speedup_vs_specialize']:.2f}x the " \
-            f"specializer (floor {NATIVE_FLOOR}x)"
     return report
-
-
-def _native_batched_row(rows: list[dict], iterations: int,
-                        repeats: int) -> dict | None:
-    """Time one batched native ``repeat()`` leg against the release
-    specializer rate already measured, or None without a compiler."""
-    from repro.devil.native import native_available
-
-    if not native_available():
-        return None
-    workload = next(w for w in WORKLOADS
-                    if w[0] == NATIVE_FLOOR_WORKLOAD)
-    _, machine, setup, _op = workload
-    bus, bases = _machine(machine, tracing=False)
-    device = _bind(machine, "native", bus, bases, debug=False)
-    if setup is not None:
-        setup(device)
-    device.repeat("get_dx", 16)  # warm the direct-mode port table
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        device.repeat("get_dx", iterations)
-        best = min(best, time.perf_counter() - start)
-    rate = iterations / best
-    specialize_rate = next(
-        row["calls_per_sec"]["specialize"] for row in rows
-        if row["workload"] == NATIVE_FLOOR_WORKLOAD
-        and not row["debug"])
-    return {"workload": NATIVE_FLOOR_WORKLOAD, "debug": False,
-            "calls_per_sec": rate,
-            "speedup_vs_specialize": rate / specialize_rate,
-            "floor": NATIVE_FLOOR}
 
 
 def test_stub_dispatch_quick():

@@ -52,22 +52,8 @@ def _profile(accounting) -> dict:
             for counter in COUNTERS}
 
 
-def _native_checkable() -> bool:
-    from repro.devil.native import native_available
-    return native_available()
-
-
 def measure() -> dict:
-    """The current I/O profile of every workload, parity-checked.
-
-    When a C compiler is present, the ``native`` strategy is
-    cross-checked against the same interpreter reference for every
-    plain (non-shadow, non-transactional) workload — it never changes
-    the pinned numbers, it must merely match them.  The shadow-cache
-    and transactional variants are interpreter-family features the
-    native binding rejects by design, so they stay three-strategy.
-    """
-    check_native = _native_checkable()
+    """The current I/O profile of every workload, parity-checked."""
     table: dict = {"workloads": {}, "txn_workloads": {}}
     suites = (("workloads", WORKLOADS, run_workload),
               ("txn_workloads", TXN_WORKLOADS, run_txn_workload))
@@ -75,14 +61,10 @@ def measure() -> dict:
         for name in sorted(drivers):
             row: dict = {}
             for label, shadow in (("plain", False), ("shadow", True)):
-                strategies = list(STRATEGIES)
-                if check_native and section == "workloads" \
-                        and not shadow:
-                    strategies.append("native")
                 profiles = {
                     strategy: _profile(
                         runner(name, strategy, shadow_cache=shadow)[2])
-                    for strategy in strategies}
+                    for strategy in STRATEGIES}
                 reference = profiles["interpret"]
                 for strategy, profile in profiles.items():
                     if profile != reference:
@@ -124,9 +106,7 @@ FLEET_CASES = {
 
 def _measure_fleet() -> dict:
     """Single-worker fleet profiles, parity-checked across strategies
-    and cross-checked against the process backend — and, when a C
-    compiler is present, against the native substrate on both
-    backends."""
+    and cross-checked against the process backend."""
     from repro.engine import ProcessFleet
 
     section: dict = {}
@@ -174,29 +154,6 @@ def _measure_fleet() -> dict:
                     f"backend ({transport}) "
                     f"{process_profile}/{process_placement} vs thread "
                     f"{reference}/{placement}")
-        # The native fleet substrate (C dispatch core, direct-mode
-        # batches, C-resident device models) must hit the same pins on
-        # both backends.  Like the per-workload native cross-check, it
-        # never changes the pinned numbers — it must merely match.
-        if _native_checkable():
-            for backend, builder in (
-                    ("thread", lambda: Fleet(
-                        devices, strategy="native", workers=1,
-                        policy=policy, weights=weights)),
-                    ("process", lambda: ProcessFleet(
-                        devices, strategy="native", workers=2,
-                        policy=policy, weights=weights))):
-                with builder() as fleet:
-                    fleet.run(schedule)
-                    native_profile = _profile(fleet.accounting)
-                    native_placement = fleet.completed_by_device()
-                if native_profile != reference \
-                        or native_placement != placement:
-                    raise SystemExit(
-                        f"backend divergence: fleet/{name} native "
-                        f"{backend} backend "
-                        f"{native_profile}/{native_placement} vs "
-                        f"{reference}/{placement}")
         section[name] = {"ports": reference, "completed": placement}
     return section
 
@@ -234,10 +191,8 @@ def main(argv: list[str] | None = None) -> int:
               "--write")
         return 1
     total = sum(len(golden[section]) for section in golden)
-    native_note = " + native cross-check" if _native_checkable() \
-        else " (native skipped: no C compiler)"
     print(f"io golden: {total} workload profiles match "
-          f"({len(STRATEGIES)} strategies each{native_note})")
+          f"({len(STRATEGIES)} strategies each)")
     return 0
 
 

@@ -7,9 +7,6 @@ Usage::
     devilc python SPEC.devil [-o OUT]    emit the Python stub module
     devilc compile SPEC.devil --backend c --debug -o FILE
                                          emit any backend to disk
-                                         (--shim adds the native
-                                         runtime shim, for kernel-style
-                                         out-of-tree builds)
     devilc dump   SPEC.devil             print the resolved model
     devilc trace  NAME [--format=...]    replay a shipped driver
                                          workload with telemetry
@@ -119,13 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "(default: device name)")
     compile_cmd.add_argument("--debug", action="store_true",
                              help="C backend: force DEVIL_DEBUG on")
-    compile_cmd.add_argument("--shim", metavar="FILE",
-                             help="C backend: also write the native "
-                                  "runtime shim (port-table dispatch, "
-                                  "accounting, trace ring) to FILE; "
-                                  "compile it with the header on its "
-                                  "include path to get the "
-                                  "strategy='native' library")
 
     trace = commands.add_parser(
         "trace",
@@ -134,10 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shipped spec name (e.g. busmouse, ide)")
     trace.add_argument("--strategy", default="interpret",
                        choices=("interpret", "specialize", "generated",
-                                "native", "all"),
+                                "all"),
                        help="execution strategy to trace (default: "
-                            "interpret; 'native' needs a C compiler; "
-                            "'all' runs every strategy back-to-back)")
+                            "interpret; 'all' runs every strategy "
+                            "back-to-back)")
     trace.add_argument("--format", default="chrome",
                        choices=("jsonl", "chrome", "report", "summary"),
                        help="chrome: Perfetto-loadable trace_event "
@@ -188,11 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "the process backend needs a "
                             "deterministic one)")
     fleet.add_argument("--strategy", default="specialize",
-                       choices=("interpret", "specialize", "generated",
-                                "native", "auto"),
-                       help="execution strategy (default: specialize; "
-                            "'native' needs a C compiler, 'auto' "
-                            "falls back to specialize without one)")
+                       choices=("interpret", "specialize", "generated"),
+                       help="execution strategy (default: specialize)")
     fleet.add_argument("--latency-us", type=float, default=20.0,
                        help="sleeping port latency charged per bus op "
                             "(default: 20.0; 0 disables)")
@@ -232,8 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "least-loaded"),
                      help="dispatch policy (default: round-robin)")
     top.add_argument("--strategy", default="specialize",
-                     choices=("interpret", "specialize", "generated",
-                              "native", "auto"),
+                     choices=("interpret", "specialize", "generated"),
                      help="execution strategy (default: specialize)")
     top.add_argument("--latency-us", type=float, default=20.0,
                      help="sleeping port latency per bus op "
@@ -359,19 +345,6 @@ def _run(arguments) -> int:
             text = generate_pyi(spec.model)
         else:
             text = spec.emit_doc()
-        if arguments.shim:
-            if backend != "c":
-                print("--shim only applies to --backend c",
-                      file=sys.stderr)
-                return 1
-            from .native import generate_shim
-            header_name = (arguments.output
-                           and arguments.output.rsplit("/", 1)[-1]) \
-                or f"{spec.name}.dil.h"
-            with open(arguments.shim, "w", encoding="utf-8") as handle:
-                handle.write(generate_shim(spec.model,
-                                           prefix=arguments.prefix,
-                                           header_name=header_name))
     elif arguments.command == "c":
         text = spec.emit_c(prefix=arguments.prefix,
                            debug=arguments.debug)
@@ -547,8 +520,6 @@ def _run_fleet(arguments) -> int:
                 monitor.stop()
         total = fleet.completed()
         accounting = fleet.accounting
-        # fleet.strategy is the *resolved* strategy: "auto" settles to
-        # native or specialize at bind time, and that is what ran.
         print(f"fleet: {len(devices)} devices "
               f"({', '.join(arguments.devices)}), "
               f"{arguments.workers} {fleet.backend} workers, "

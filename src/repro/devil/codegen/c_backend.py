@@ -34,8 +34,6 @@ simulated bus):
 
 from __future__ import annotations
 
-import threading
-
 from ..errors import DevilCodegenError
 from ..model import (
     ParamRef,
@@ -50,61 +48,14 @@ from ..model import (
 from ..types import BoolType, EnumType, IntSetType, IntType
 
 
-# Bump whenever the emitted C changes shape: the native build cache keys
-# compiled shared libraries on this value, so stale .so files from an
-# older emitter are never dlopen'ed against a newer state-struct layout.
-# v3: per-entry port-table counters, per-device mutex, fail_buf and the
-# C-resident device models changed the devil_nat_bus_t ABI.
-CODEGEN_VERSION = 3
-
-_HEADER_MEMO_LOCK = threading.Lock()
-
-
 def generate_c_header(device: ResolvedDevice, prefix: str | None = None,
                       debug: bool = False) -> str:
     """Emit the C stub header for ``device``.
 
     ``prefix`` defaults to the device name; ``debug`` forces
     ``DEVIL_DEBUG`` on regardless of the including file.
-
-    Emission is memoized per resolved device (same double-checked-lock
-    pattern as ``repro.specs.compile_shipped``): a fleet binding N
-    native instances of one spec emits the header once, not N times.
-    Resolved devices are treated as immutable once emitted.
     """
-    key = (prefix or device.name, bool(debug))
-    memo = device.__dict__.get("_c_header_memo")
-    if memo is not None:
-        header = memo.get(key)
-        if header is not None:
-            return header
-    with _HEADER_MEMO_LOCK:
-        memo = device.__dict__.get("_c_header_memo")
-        if memo is None:
-            memo = {}
-            device.__dict__["_c_header_memo"] = memo
-        header = memo.get(key)
-        if header is None:
-            header = _CWriter(device, key[0], force_debug=debug).emit()
-            memo[key] = header
-    return header
-
-
-def c_value_cast(prefix: str, variable: ResolvedVariable,
-                 expr: str) -> str:
-    """Cast a raw ``unsigned`` expression to a stub parameter's C type.
-
-    The native dispatch shim marshals every argument as a width-masked
-    ``unsigned``; signed stub parameters must be sign-extended back and
-    enum parameters cast to their typedef before the stub call.
-    """
-    var_type = variable.type
-    if isinstance(var_type, EnumType):
-        name = var_type.name or variable.name
-        return f"({prefix}_{name}_t)({expr})"
-    if isinstance(var_type, IntType) and var_type.signed:
-        return f"devil__sext({expr}, {var_type.width})"
-    return expr
+    return _CWriter(device, prefix or device.name, force_debug=debug).emit()
 
 
 class _CWriter:
@@ -238,17 +189,6 @@ class _CWriter:
         self._w("}")
         self._w("#endif")
         self._w()
-        self._w("#ifndef DEVIL_OBS_ACTION")
-        self._w("/* Observability hook, expanded before every "
-                "action-triggered stub call")
-        self._w("   (mirroring the Python runtime's record-then-execute "
-                "order).  The")
-        self._w("   native runtime shim overrides this to notify the "
-                "span collector;")
-        self._w("   standalone kernel-style builds compile it away. */")
-        self._w("#define DEVIL_OBS_ACTION(kind, target) ((void)0)")
-        self._w("#endif")
-        self._w()
 
     def _emit_debug_support(self) -> None:
         self._w("#ifdef DEVIL_DEBUG")
@@ -286,9 +226,8 @@ class _CWriter:
         for variable in self.device.variables.values():
             if variable.memory:
                 self._w(f"    unsigned mem_{variable.name};")
-        # init_ flags are unconditional: the native runtime needs
-        # initialisation tracking in release builds too (the debug-only
-        # part is the DEVIL_CHECK that consults them).
+        # init_ flags are kept in release builds too; only the
+        # DEVIL_CHECK that consults them is debug-only.
         for variable in self.device.variables.values():
             if variable.memory:
                 self._w(f"    unsigned char init_{variable.name};")
@@ -358,11 +297,9 @@ class _CWriter:
 
     def _emit_action(self, action: ResolvedAction, indent: str,
                      context_var: str | None = None,
-                     context_param: str = "value",
-                     kind: str = "reg-set") -> None:
+                     context_param: str = "value") -> None:
         """Emit one pre/post/set action as stub calls."""
         p = self.prefix
-        self._w(f'{indent}DEVIL_OBS_ACTION("{kind}", "{action.target}");')
         if action.target_kind == "structure":
             if not isinstance(action.value, dict):
                 raise DevilCodegenError(
@@ -422,16 +359,16 @@ class _CWriter:
                 f"register {register.name!r} is write-only")
         self._emit_mode_check(register, indent)
         for action in register.pre_actions:
-            self._emit_action(action, indent, kind="pre")
+            self._emit_action(action, indent)
         self._w(f"{indent}raw_{register.name} = devil_in("
                 f"{self._port_expr(register.read_port)}, "
                 f"{self._port_width(register.read_port)});")
         self._w(f"{indent}d->cache_{register.name} = raw_{register.name} & "
                 f"{self._hex(register.mask.variable_bits)};")
         for action in register.post_actions:
-            self._emit_action(action, indent, kind="post")
+            self._emit_action(action, indent)
         for action in register.set_actions:
-            self._emit_action(action, indent, kind="reg-set")
+            self._emit_action(action, indent)
 
     def _emit_register_write(self, register: ResolvedRegister,
                              composed_expr: str,
@@ -444,7 +381,7 @@ class _CWriter:
         self._w(f"{indent}d->cache_{name} = ({composed_expr}) & "
                 f"{self._hex(register.mask.variable_bits)};")
         for action in register.pre_actions:
-            self._emit_action(action, indent, kind="pre")
+            self._emit_action(action, indent)
         out_expr = f"(d->cache_{name} & " \
             f"{self._hex(register.mask.variable_bits)}) | " \
             f"{self._hex(register.mask.forced_value)}"
@@ -452,9 +389,9 @@ class _CWriter:
                 f"{self._port_expr(register.write_port)}, "
                 f"{self._port_width(register.write_port)});")
         for action in register.post_actions:
-            self._emit_action(action, indent, kind="post")
+            self._emit_action(action, indent)
         for action in register.set_actions:
-            self._emit_action(action, indent, kind="reg-set")
+            self._emit_action(action, indent)
 
     # -- value (de)composition ------------------------------------------
 
@@ -546,8 +483,7 @@ class _CWriter:
         self._w(f"    d->mem_{name} = (unsigned)value;")
         self._w(f"    d->init_{name} = 1;")
         for action in variable.set_actions:
-            self._emit_action(action, "    ", context_var=variable.name,
-                              kind="var-set")
+            self._emit_action(action, "    ", context_var=variable.name)
         self._w("}")
         self._w()
 
@@ -618,8 +554,7 @@ class _CWriter:
                 self._emit_register_write(register, composed)
             for action in variable.set_actions:
                 self._emit_action(action, "    ",
-                                  context_var=variable.name,
-                                  kind="var-set")
+                                  context_var=variable.name)
             self._w("}")
             self._w()
 
@@ -687,8 +622,7 @@ class _CWriter:
                 for action in member.set_actions:
                     self._emit_action(action, "    ",
                                       context_var=member.name,
-                                      context_param=f"raw_{member.name}",
-                                      kind="var-set")
+                                      context_param=f"raw_{member.name}")
             self._w("}")
             self._w()
 
@@ -756,14 +690,14 @@ class _CWriter:
                     f"unsigned long count)")
             self._w("{")
             for action in register.pre_actions:
-                self._emit_action(action, "    ", kind="pre")
+                self._emit_action(action, "    ")
             self._w(f"    devil_in_rep({self._port_expr(register.read_port)},"
                     f" {self._port_width(register.read_port)}, count, "
                     f"buffer);")
             for action in register.post_actions:
-                self._emit_action(action, "    ", kind="post")
+                self._emit_action(action, "    ")
             for action in register.set_actions:
-                self._emit_action(action, "    ", kind="reg-set")
+                self._emit_action(action, "    ")
             self._w("}")
             self._w()
         if register.writable:
@@ -772,15 +706,15 @@ class _CWriter:
                     f"unsigned long count)")
             self._w("{")
             for action in register.pre_actions:
-                self._emit_action(action, "    ", kind="pre")
+                self._emit_action(action, "    ")
             self._w(f"    devil_out_rep("
                     f"{self._port_expr(register.write_port)}, "
                     f"{self._port_width(register.write_port)}, count, "
                     f"buffer);")
             for action in register.post_actions:
-                self._emit_action(action, "    ", kind="post")
+                self._emit_action(action, "    ")
             for action in register.set_actions:
-                self._emit_action(action, "    ", kind="reg-set")
+                self._emit_action(action, "    ")
             self._w("}")
             self._w()
 

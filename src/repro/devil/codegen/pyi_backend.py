@@ -6,8 +6,8 @@ which static type checkers and editors cannot see.  This backend emits
 a PEP 561-style ``.pyi`` module per spec with a ``Protocol`` describing
 that surface — enum variables become ``Literal`` unions of their
 symbols, booleans ``bool``, integers ``int``, structures typed
-``get``/keyword-only ``set`` pairs — plus the batched-dispatch seam of
-the native strategy (``repeat``/``sync_to_bus``/``state_blob``).
+``get``/keyword-only ``set`` pairs — plus the generic accessors every
+``bind()`` instance shares.
 
 The shipped stubs live in ``src/repro/specs/stubs/`` and are kept
 fresh by ``tests/test_c_backend.py``; regenerate one with::
@@ -128,13 +128,6 @@ def generate_pyi(model: ResolvedDevice) -> str:
         "    def write_block(self, name: str, "
         "values: Sequence[int]) -> int: ...",
         "    def invalidate_caches(self) -> None: ...",
-        "",
-        "    # Batched dispatch and parity seams "
-        "(strategy='native').",
-        "    def repeat(self, stub: str, n: int, "
-        "*args: object) -> object: ...",
-        "    def sync_to_bus(self) -> None: ...",
-        "    def state_blob(self) -> bytes: ...",
         "",
     ]
     return "\n".join(lines)

@@ -51,26 +51,13 @@ class CompiledSpec:
         execute: ``"interpret"`` (walk the resolved model per call),
         ``"specialize"`` (partial evaluation into straight-line
         closures at bind time — same semantics, faster calls; see
-        :mod:`repro.devil.specialize`), ``"native"`` (compile the
-        generated C stubs into a per-spec shared library and dispatch
-        through it; see :mod:`repro.devil.native`; raises
-        :class:`~repro.devil.native.NativeBuildError` if no C compiler
-        is installed), or ``"auto"`` (``native`` when a C compiler is
-        available, else ``specialize``).  ``shadow_cache=True``
-        enables the volatility-aware register shadow cache: reads of
-        registers whose last raw value is still authoritative are
-        served without port I/O (see :mod:`repro.devil.plan`).
+        :mod:`repro.devil.specialize`).  Any other value raises
+        :class:`~repro.devil.errors.DevilRuntimeError`.
+        ``shadow_cache=True`` enables the volatility-aware register
+        shadow cache: reads of registers whose last raw value is still
+        authoritative are served without port I/O (see
+        :mod:`repro.devil.plan`).
         """
-        if strategy == "auto":
-            from .native import native_available
-            strategy = ("native" if native_available()
-                        and composition == "cache" and not shadow_cache
-                        else "specialize")
-        if strategy == "native":
-            from .native import bind_native
-            return bind_native(self.model, bus, bases, debug=debug,
-                               composition=composition,
-                               shadow_cache=shadow_cache)
         return DeviceInstance(self.model, bus, bases, debug=debug,
                               composition=composition,
                               strategy=strategy,

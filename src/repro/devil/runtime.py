@@ -85,8 +85,7 @@ class DeviceInstance:
         if strategy not in ("interpret", "specialize"):
             raise DevilRuntimeError(
                 f"unknown execution strategy {strategy!r} (choose "
-                f"'interpret', 'specialize', 'native' or 'auto'; "
-                f"'native'/'auto' dispatch via CompiledSpec.bind)",
+                f"'interpret' or 'specialize')",
                 model.location)
         self.model = model
         self.bus = bus

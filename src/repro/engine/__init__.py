@@ -36,7 +36,6 @@ from .fleet import (
     LatencyBus,
     fleet_layout,
     map_fleet_device,
-    resolve_strategy,
     session_weight,
 )
 from .mp import DEFAULT_AUTO_BATCH, ProcessFleet, ProcessSession
@@ -100,7 +99,6 @@ __all__ = [
     "ProcessSession",
     "fleet_layout",
     "map_fleet_device",
-    "resolve_strategy",
     "session_weight",
     "WorkerError",
     "WorkerPool",

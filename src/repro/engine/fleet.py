@@ -237,25 +237,6 @@ class DeviceSession:
             return result
 
 
-def resolve_strategy(strategy: str, shadow_cache: bool = False) -> str:
-    """Resolve ``strategy="auto"`` once per fleet, not once per bind.
-
-    Mirrors the auto rule of ``CompiledSpec.bind`` (native when a C
-    compiler is present, else the specializer; the shadow cache is a
-    specializer-family feature the native binding rejects).  The
-    compiler probe itself is memoized per process, and resolving here
-    means every per-device bind takes the already-decided branch — one
-    probe total for a whole fleet on either backend.
-    """
-    if strategy != "auto":
-        return strategy
-    if shadow_cache:
-        return "specialize"
-    from ..devil.native import native_available
-
-    return "native" if native_available() else "specialize"
-
-
 class Fleet:
     """N shipped devices, one thread-safe bus, a scheduled worker pool.
 
@@ -290,7 +271,6 @@ class Fleet:
             raise ValueError(
                 f"unknown policy {policy!r} "
                 f"(have: {', '.join(sorted(SCHEDULERS))})")
-        strategy = resolve_strategy(strategy, shadow_cache)
         self.strategy = strategy
         self.policy = policy
         if op_latency_us or word_latency_us:

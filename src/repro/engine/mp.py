@@ -76,7 +76,7 @@ from dataclasses import dataclass
 
 from ..bus import IoAccounting
 from .fleet import LatencyBus, fleet_layout, map_fleet_device, \
-    resolve_strategy, session_weight
+    session_weight
 from .pool import WorkerError
 from .requests import decode_request, encode_request
 from .scheduler import DETERMINISTIC_POLICIES, SCHEDULERS
@@ -449,10 +449,6 @@ class ProcessFleet:
         if ring_bytes < 0:
             raise ValueError(
                 f"ring_bytes must be non-negative, got {ring_bytes}")
-        # Resolve "auto" in the parent, once: workers receive the
-        # decided strategy, so the compiler probe does not repeat per
-        # worker and every shard binds the same way.
-        strategy = resolve_strategy(strategy, shadow_cache)
         self.strategy = strategy
         self.policy = policy
         self.workers = min(workers, len(devices))

@@ -151,9 +151,8 @@ def ide_sector_checksum(stubs, aux):
 
 
 #: Dispatch depth of :func:`ide_taskfile_churn`: enough single-register
-#: writes that per-op crossing cost (Python bytecode + ctypes + GIL
-#: traffic) dominates the request, which is exactly what the native
-#: core's batched ``repeat()`` dispatch is built to collapse.
+#: writes that per-op dispatch cost (Python bytecode + GIL traffic)
+#: dominates the request.
 CHURN_OPS = 8192
 
 
@@ -162,20 +161,14 @@ def ide_taskfile_churn(stubs, aux, n=CHURN_OPS):
 
     The request is pure dispatch overhead by design: no data transfer,
     no latency model stalls, just ``n`` writes of the same value to
-    ``lba_low``.  On interpret/specialize stubs each write is a full
-    Python round trip holding the GIL; on native stubs the whole run
-    collapses into one C call via ``repeat()`` that *releases* the GIL,
-    so N thread-fleet workers overlap in real parallel.  Both paths
-    produce identical bus traffic (``n`` 8-bit writes of 2), so every
+    ``lba_low``.  Each write is a full Python round trip holding the
+    GIL, so a thread fleet cannot overlap two of these.  Every strategy
+    produces identical bus traffic (``n`` 8-bit writes of 2), so every
     parity pin — accounting, traces, end state — stays byte-exact
     across strategies.
     """
-    repeat = getattr(stubs, "repeat", None)
-    if repeat is not None:
-        repeat("set_lba_low", n, 2)
-    else:
-        for _ in range(n):
-            stubs.set_lba_low(2)
+    for _ in range(n):
+        stubs.set_lba_low(2)
     return n
 
 

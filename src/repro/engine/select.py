@@ -182,17 +182,8 @@ def _calibration_bus(op_latency_us: float, word_latency_us: float):
 
 
 def decide(profiles, cpu_count: int | None = None,
-           workers: int = 4,
-           strategy: str = "specialize") -> BackendChoice:
-    """Pick a backend and batch size from measured kind profiles.
-
-    ``strategy`` is the *resolved* bind strategy of the fleet being
-    chosen for.  It matters for exactly one verdict: a CPU-bound mix
-    that would normally force the process backend can instead stay on
-    threads when the strategy is ``"native"``, because the compiled
-    dispatch core releases the GIL for the whole batched entry frame —
-    N thread workers overlap in C without paying the IPC toll at all.
-    """
+           workers: int = 4) -> BackendChoice:
+    """Pick a backend and batch size from measured kind profiles."""
     if cpu_count is None:
         cpu_count = os.cpu_count() or 1
     if not profiles:
@@ -210,12 +201,6 @@ def decide(profiles, cpu_count: int | None = None,
         choice, batch = "thread", 1
         reason = (f"{cpu_count} CPU: worker processes would only "
                   f"take turns; threads avoid the IPC toll entirely")
-    elif fraction >= CPU_BOUND_THRESHOLD and strategy == "native":
-        choice, batch = "thread", 1
-        reason = (f"CPU fraction {fraction:.2f} ≥ "
-                  f"{CPU_BOUND_THRESHOLD} but strategy='native' "
-                  f"releases the GIL around batched C dispatch: "
-                  f"threads overlap in-process without the IPC toll")
     elif fraction >= CPU_BOUND_THRESHOLD:
         choice = "process"
         reason = (f"CPU fraction {fraction:.2f} ≥ "
@@ -249,24 +234,16 @@ def auto_fleet(devices, schedule, *, workers: int = 4,
     ``op_latency_us``, ``word_latency_us``) also shape calibration.
     The returned fleet carries the verdict as ``fleet.choice``.
     """
-    from .fleet import Fleet, resolve_strategy
+    from .fleet import Fleet
     from .mp import ProcessFleet
 
-    # Resolve "auto" before calibration so the throwaway calibration
-    # machine binds the same way the fleet will, and so the verdict
-    # can account for the native core's GIL release.
-    shadow_cache = fleet_kwargs.get("shadow_cache", False)
-    strategy = resolve_strategy(
-        fleet_kwargs.get("strategy", "specialize"), shadow_cache)
-    fleet_kwargs["strategy"] = strategy
     profiles = calibrate(
         schedule,
-        strategy=strategy,
-        shadow_cache=shadow_cache,
+        strategy=fleet_kwargs.get("strategy", "specialize"),
+        shadow_cache=fleet_kwargs.get("shadow_cache", False),
         op_latency_us=fleet_kwargs.get("op_latency_us", 0.0),
         word_latency_us=fleet_kwargs.get("word_latency_us", 0.0))
-    choice = decide(profiles, cpu_count=cpu_count, workers=workers,
-                    strategy=strategy)
+    choice = decide(profiles, cpu_count=cpu_count, workers=workers)
     if choice.backend == "process":
         fleet = ProcessFleet(devices, workers=workers,
                              batch_size=choice.batch_size,

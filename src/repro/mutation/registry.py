@@ -45,8 +45,8 @@ DRIVER_CORPUS = {
 }
 
 #: Number of actual target constructions this process performed
-#: (observable memoization behaviour, mirroring the native build
-#: cache's ``BUILD_COUNT``).
+#: (observable memoization behaviour: tests pin it to prove repeat
+#: runs re-parse nothing).
 BUILD_COUNT = 0
 
 _TARGETS: dict[str, LanguageTarget] = {}

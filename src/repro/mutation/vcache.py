@@ -13,9 +13,7 @@ serves the rest from disk.
 
 The cache is also the campaign's *result transport*: fleet workers
 (threads or processes) write verdicts here as they evaluate, and the
-parent reads them back after ``drain`` — the same pattern as the
-flock-serialized native build cache (:mod:`repro.devil.native.build`),
-which this module is modeled on.  Writes are atomic
+parent reads them back after ``drain``.  Writes are atomic
 (``os.replace`` of a same-directory temp file) and serialized per key
 by an ``fcntl.flock`` where the platform has one; records are
 idempotent (a unit's verdict is a pure function of its key), so
@@ -41,7 +39,7 @@ except ImportError:                     # non-POSIX: atomic publish only
     fcntl = None
 
 #: Environment override for the cache directory (CI points this at a
-#: directory restored across runs, exactly like the native build cache).
+#: directory restored across runs).
 CACHE_ENV = "DEVIL_CAMPAIGN_CACHE"
 
 #: Bump to invalidate every cached verdict (record layout or
@@ -149,8 +147,8 @@ class VerdictCache:
     def put(self, key: str, record: dict) -> None:
         """Publish ``record`` under ``key`` (atomic, flock-serialized).
 
-        The flock mirrors the native build cache: N workers publishing
-        the same key serialize their (identical) writes; the
+        N workers publishing the same key serialize their (identical)
+        writes under the flock; the
         same-directory temp file + ``os.replace`` keeps publication
         atomic even where flock does not reach (cross-host caches).
         """

@@ -113,31 +113,28 @@ int main(void) {{ {name[:3]}_state_t s; (void)s; return 0; }}
             assert result.returncode == 0, result.stderr
 
 
-class TestHeaderMemoization:
-    def test_same_device_same_flags_is_cached(self):
+class TestHeaderFlags:
+    def test_emission_is_deterministic(self):
         model = shipped_spec("busmouse").model
         from repro.devil.codegen.c_backend import generate_c_header
-        first = generate_c_header(model, debug=True)
-        second = generate_c_header(model, debug=True)
-        assert first is second              # memo hit, not a re-emit
+        assert generate_c_header(model, debug=True) == \
+            generate_c_header(model, debug=True)
 
-    def test_flags_key_the_memo(self):
+    def test_debug_flag_forces_devil_debug(self):
         model = shipped_spec("dma8237").model
         from repro.devil.codegen.c_backend import generate_c_header
         debug = generate_c_header(model, debug=True)
         release = generate_c_header(model, debug=False)
-        assert debug is not release
         assert "#define DEVIL_DEBUG 1" in debug
         assert "#define DEVIL_DEBUG 1" not in release
-        assert generate_c_header(model, debug=False) is release
 
-    def test_prefix_keys_the_memo(self):
+    def test_prefix_renames_the_stubs(self):
         model = shipped_spec("pic8259").model
         from repro.devil.codegen.c_backend import generate_c_header
         default = generate_c_header(model)
         prefixed = generate_c_header(model, prefix="pic")
-        assert default is not prefixed
-        assert generate_c_header(model, prefix="pic") is prefixed
+        assert default != prefixed
+        assert "pic_state_t" in prefixed
 
 
 class TestPyiStubs:

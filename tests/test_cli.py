@@ -78,23 +78,6 @@ class TestCompile:
         assert "Generated by devilc" in text
         assert "#define DEVIL_DEBUG 1" in text
 
-    def test_shim_rides_along_and_includes_header(self, good_spec,
-                                                  tmp_path):
-        header = tmp_path / "chip.dil.h"
-        shim = tmp_path / "chip_shim.c"
-        assert main(["compile", good_spec, "--backend", "c",
-                     "-o", str(header), "--shim", str(shim)]) == 0
-        assert header.exists()
-        text = shim.read_text()
-        assert '#include "chip.dil.h"' in text
-        assert "nat_call" in text
-
-    def test_shim_requires_c_backend(self, good_spec, tmp_path, capsys):
-        shim = tmp_path / "chip_shim.c"
-        assert main(["compile", good_spec, "--backend", "python",
-                     "--shim", str(shim)]) == 1
-        assert "--shim only applies" in capsys.readouterr().err
-
     def test_pyi_backend(self, good_spec, capsys):
         assert main(["compile", good_spec, "--backend", "pyi"]) == 0
         output = capsys.readouterr().out

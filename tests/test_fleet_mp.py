@@ -38,16 +38,10 @@ from repro.engine import (
     ide_sector_read,
     mixed_schedule,
 )
-from repro.devil.native import native_available
 from repro.obs.workloads import WORKLOADS, build_machine
 from repro.specs import SPEC_NAMES
 
 pytestmark = pytest.mark.concurrency
-
-needs_cc = pytest.mark.skipif(not native_available(),
-                              reason="strategy='native' needs a C "
-                                     "compiler")
-
 
 def _run_backend(backend: str, devices, schedule, **fleet_kwargs):
     """One observed fleet run; returns the full parity evidence."""
@@ -243,126 +237,6 @@ def test_process_backend_block_groups_stay_contiguous():
     for group in blocks:
         assert len(group) == group[0].count
         assert len({entry.port for entry in group}) == 1
-
-
-# ---------------------------------------------------------------------------
-# The native strategy: the compiled core is a fourth exact substrate
-# ---------------------------------------------------------------------------
-
-
-def _run_untraced(backend, devices, schedule, **fleet_kwargs):
-    """A fleet run with no tracer and no collector attached.
-
-    This is the configuration where native thread workers enter direct
-    mode — whole batches dispatch through the C port table with
-    C-side accounting — so exactness here covers the fast path the
-    traced harness above deliberately disables.
-    """
-    if backend == "process":
-        fleet = ProcessFleet(devices, workers=2, tracing=False,
-                             **fleet_kwargs)
-    else:
-        workers = 1 if backend == "serial" else 4
-        fleet = Fleet(devices, workers=workers, tracing=False,
-                      **fleet_kwargs)
-    with fleet:
-        fleet.run(schedule)
-        return {
-            "states": fleet.device_states(),
-            "by_device": fleet.accounting_by_device(),
-            "accounting": fleet.accounting
-            if backend == "process" else fleet.accounting.snapshot(),
-            "completed": fleet.completed_by_device(),
-        }
-
-
-@needs_cc
-@pytest.mark.parametrize("backend", ("serial", "thread", "process"))
-@pytest.mark.parametrize("spec", SPEC_NAMES)
-def test_native_backend_parity_per_spec(spec, backend):
-    """Every backend running ``strategy='native'`` is byte-identical
-    to the serial specializer reference on every shipped spec —
-    end-state, per-device accounting shards, span signatures and
-    per-device port-op traces.  Tracing keeps the native core in
-    callback mode here; direct mode is covered below."""
-    devices = [spec, spec]
-    schedule = [(spec, WORKLOADS[spec])] * 6
-    serial, _ = _spec_references(spec)
-    evidence = _run_backend(backend, devices, schedule,
-                            strategy="native")
-    assert evidence["completed"] == serial["completed"]
-    assert evidence["by_device"] == serial["by_device"]
-    assert evidence["accounting"] == serial["accounting"]
-    for name, blob in serial["states"].items():
-        assert evidence["states"][name] == blob, \
-            f"native/{backend}: end-state of {name!r} diverged"
-    assert evidence["signatures"] == serial["signatures"], \
-        f"native/{backend}: span signatures diverged for {spec}"
-    for _, label, slot in fleet_layout(devices):
-        assert _device_trace(evidence["trace"], slot) == \
-            _device_trace(serial["trace"], slot), \
-            f"native/{backend}: trace of {label} diverged for {spec}"
-
-
-@needs_cc
-@pytest.mark.parametrize("spec", SPEC_NAMES)
-def test_native_direct_mode_parity_untraced(spec):
-    """With no tracer or collector, native fleet workers run whole
-    batches in direct mode (C dispatch, C accounting, C device models
-    where shipped) and still land byte-equal end-state, exact merged
-    accounting and exact per-device shards against the untraced serial
-    specializer."""
-    devices = [spec, spec]
-    schedule = [(spec, WORKLOADS[spec])] * 6
-    reference = _run_untraced("serial", devices, schedule)
-    for backend in ("thread", "process"):
-        native = _run_untraced(backend, devices, schedule,
-                               strategy="native")
-        assert native == reference, f"native/{backend} for {spec}"
-
-
-@needs_cc
-def test_native_churn_request_parity_across_strategies():
-    """The dispatch-bound benchmark request is exact: the native
-    ``repeat()`` fast path produces the same traffic, traces and
-    accounting as the specializer's Python loop."""
-    from repro.engine import ide_taskfile_churn
-
-    devices = ["ide", "ide"]
-    schedule = [("ide", functools.partial(ide_taskfile_churn,
-                                          n=512))] * 4
-    reference = _run_backend("serial", devices, schedule)
-    for backend in ("thread", "process"):
-        native = _run_backend(backend, devices, schedule,
-                              strategy="native")
-        assert native["states"] == reference["states"]
-        assert native["by_device"] == reference["by_device"]
-        assert native["accounting"] == reference["accounting"]
-        for _, label, slot in fleet_layout(devices):
-            assert _device_trace(native["trace"], slot) == \
-                _device_trace(reference["trace"], slot), label
-
-
-@needs_cc
-def test_native_process_fleet_propagates_mid_batch_errors():
-    """A device fault in the middle of a native batch surfaces as a
-    WorkerError carrying the device's message, and the worker keeps
-    serving later batches."""
-    from repro.engine import ide_data_probe
-
-    with ProcessFleet(["ide"], workers=1, batch_size=4,
-                      strategy="native") as fleet:
-        fleet.submit("ide", ide_sector_read)
-        fleet.submit("ide", ide_data_probe)
-        fleet.submit("ide", ide_sector_read)
-        with pytest.raises(WorkerError) as info:
-            fleet.drain()
-        assert "DRQ" in str(info.value)
-        # The failure was contained to the one request: the worker
-        # process survived and the fleet still executes new batches.
-        fleet.submit("ide", ide_sector_read)
-        fleet.drain()
-        assert fleet.completed() == 3
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +522,26 @@ def test_process_fleet_propagates_request_errors():
             fleet.submit("ide", _exploding_request)
             fleet.drain()
     assert "request exploded in the worker" in str(info.value)
+
+
+def test_process_fleet_propagates_mid_batch_errors():
+    """A device fault in the middle of a batch surfaces as a
+    WorkerError carrying the device's message, and the worker keeps
+    serving later batches."""
+    from repro.engine import ide_data_probe
+
+    with ProcessFleet(["ide"], workers=1, batch_size=4) as fleet:
+        fleet.submit("ide", ide_sector_read)
+        fleet.submit("ide", ide_data_probe)
+        fleet.submit("ide", ide_sector_read)
+        with pytest.raises(WorkerError) as info:
+            fleet.drain()
+        assert "DRQ" in str(info.value)
+        # The failure was contained to the one request: the worker
+        # process survived and the fleet still executes new batches.
+        fleet.submit("ide", ide_sector_read)
+        fleet.drain()
+        assert fleet.completed() == 3
 
 
 def test_process_fleet_weighted_placement_matches_thread_backend():

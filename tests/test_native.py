@@ -1,427 +1,40 @@
-"""Tests for the compiled-C execution strategy (``strategy="native"``).
+"""Error-path checks for bound stubs, run on the specializer.
 
-The exactness bar (after Braibant & Chlipala: equivalence is proven,
-not assumed): a native-bound device must produce byte-equal end state,
-exact accounting, identical port-I/O traces and identical span streams
-vs the interpreter on every shipped spec, in debug and release mode.
-Everything that needs a C compiler is gated on discovery; the fallback
-tests run everywhere and prove the repo works without one.
+The file keeps its name from the retired ``native`` strategy, whose
+error paths these checks first pinned.  Each case now binds with
+``strategy="specialize"`` and, where it compares, holds the specializer
+to the interpreter: unmapped ports, member reads before the structure
+fetch, private memory variables read before initialisation, and block
+transfers with negative or zero counts.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import obs
 from repro.bus import Bus
 from repro.bus.bus import BusError
 from repro.devil.errors import DevilRuntimeError
-from repro.devil.native import (
-    NativeBuildError,
-    NativeDeviceInstance,
-    native_available,
-)
-from repro.devil.native import build as native_build
-from repro.obs.workloads import (
-    MOUSE_BASE,
-    WORKLOADS,
-    bind_stubs,
-    build_machine,
-    run_workload,
-)
-from repro.specs import SPEC_NAMES
+from repro.obs.workloads import MOUSE_BASE, bind_stubs, build_machine
 from tests.conftest import shipped_spec
 
-needs_cc = pytest.mark.skipif(not native_available(),
-                              reason="no C compiler on this machine")
+STRATEGIES = ("interpret", "specialize")
 
-ALL_STRATEGIES = ("interpret", "specialize", "generated", "native")
 
-
-def _normalize(value, seen=None):
-    """Address-free snapshot of a device model's state for comparison."""
-    if seen is None:
-        seen = set()
-    if isinstance(value, (bytes, bytearray)):
-        return bytes(value)
-    if hasattr(value, "tobytes"):       # numpy arrays, memoryviews
-        return value.tobytes()
-    if isinstance(value, (list, tuple)):
-        return tuple(_normalize(item, seen) for item in value)
-    if isinstance(value, dict):
-        return tuple(sorted(
-            (key, _normalize(item, seen)) for key, item in value.items()))
-    if hasattr(value, "__dict__"):
-        if id(value) in seen:
-            return "<cycle>"
-        seen.add(id(value))
-        return _normalize(vars(value), seen)
-    return value
-
-
-def _device_state(aux: dict) -> dict:
-    return {name: _normalize(model) for name, model in aux.items()}
-
-
-# ---------------------------------------------------------------------------
-# Four-way parity (the acceptance bar)
-# ---------------------------------------------------------------------------
-
-
-@needs_cc
-class TestFourWayParity:
-    @pytest.mark.parametrize("debug", [False, True],
-                             ids=["release", "debug"])
-    @pytest.mark.parametrize("name", SPEC_NAMES)
-    def test_results_trace_accounting_identical(self, name, debug):
-        runs = {strategy: run_workload(name, strategy, debug=debug)
-                for strategy in ALL_STRATEGIES}
-        reference = runs["interpret"]
-        assert reference[1], f"{name}: workload produced no trace"
-        for strategy in ("specialize", "generated", "native"):
-            results, trace, accounting = runs[strategy]
-            assert results == reference[0], f"{strategy} results differ"
-            assert trace == reference[1], f"{strategy} trace differs"
-            assert accounting == reference[2], \
-                f"{strategy} accounting differs"
-
-    @pytest.mark.parametrize("name", SPEC_NAMES)
-    def test_device_end_state_byte_equal(self, name):
-        states = {}
-        for strategy in ALL_STRATEGIES:
-            bus, aux, bases = build_machine(name, tracing=False)
-            stubs = bind_stubs(name, strategy, bus, bases, debug=True)
-            WORKLOADS[name](stubs, aux)
-            states[strategy] = _device_state(aux)
-        for strategy in ("specialize", "generated", "native"):
-            assert states[strategy] == states["interpret"], \
-                f"{strategy} device end-state differs"
-
-    @pytest.mark.parametrize("debug", [False, True],
-                             ids=["release", "debug"])
-    @pytest.mark.parametrize("name", SPEC_NAMES)
-    def test_span_streams_identical(self, name, debug):
-        def signatures(strategy):
-            bus, aux, bases = build_machine(name)
-            with obs.observe(bus) as collector:
-                stubs = bind_stubs(name, strategy, bus, bases,
-                                   debug=debug)
-                collector.register_ports(
-                    name, getattr(stubs, "_obs_ports", {}))
-                WORKLOADS[name](stubs, aux)
-            return collector.signatures()
-
-        reference = signatures("interpret")
-        assert reference, f"{name}: no spans collected"
-        assert signatures("native") == reference
-
-    @pytest.mark.parametrize("name", SPEC_NAMES)
-    def test_state_blob_is_deterministic(self, name):
-        blobs = []
-        for _ in range(2):
-            bus, aux, bases = build_machine(name, tracing=False)
-            stubs = bind_stubs(name, "native", bus, bases, debug=True)
-            WORKLOADS[name](stubs, aux)
-            blobs.append(stubs.state_blob())
-        assert blobs[0] == blobs[1]
-        assert len(blobs[0]) > 0
-
-
-# ---------------------------------------------------------------------------
-# Batched dispatch (repeat)
-# ---------------------------------------------------------------------------
-
-
-@needs_cc
-class TestRepeat:
-    def _machines(self, tracing):
-        bus, aux, bases = build_machine("busmouse", tracing=tracing)
-        stubs = bind_stubs("busmouse", "native", bus, bases, debug=False)
-        return bus, aux, stubs
-
-    def test_direct_batch_matches_per_call_loop(self):
-        bus_n, _aux, native = self._machines(tracing=False)
-        native.set_config("CONFIGURATION")
-        native.get_mouse_state()
-        last_native = native.repeat("get_dx", 500)
-        native.sync_to_bus()
-
-        bus_i, aux_i, bases_i = build_machine("busmouse", tracing=False)
-        interp = bind_stubs("busmouse", "interpret", bus_i, bases_i,
-                            debug=False)
-        interp.set_config("CONFIGURATION")
-        interp.get_mouse_state()
-        for _ in range(500):
-            last_interp = interp.get_dx()
-        assert last_native == last_interp
-        assert bus_n.accounting.snapshot() == bus_i.accounting.snapshot()
-
-    def test_traced_batch_matches_per_call_loop(self):
-        bus_n, _aux, native = self._machines(tracing=True)
-        native.set_config("CONFIGURATION")
-        last_native = native.repeat("get_mouse_state", 25)
-
-        bus_i, aux_i, bases_i = build_machine("busmouse")
-        interp = bind_stubs("busmouse", "interpret", bus_i, bases_i,
-                            debug=False)
-        interp.set_config("CONFIGURATION")
-        for _ in range(25):
-            last_interp = interp.get_mouse_state()
-        assert last_native == last_interp
-        assert list(bus_n.trace) == list(bus_i.trace)
-        assert bus_n.accounting.snapshot() == bus_i.accounting.snapshot()
-
-    def test_io_batch_runs_direct_on_plain_bus(self):
-        bus, _aux, stubs = self._machines(tracing=False)
-        stubs.set_config("CONFIGURATION")
-        stubs.repeat("get_mouse_state", 10)
-        ring = stubs.flight_recorder()
-        assert ring, "direct-mode batch should populate the trace ring"
-        stubs.sync_to_bus()
-        assert bus.accounting.reads > 0
-
-    def test_setter_batch(self):
-        bus, aux, bases = build_machine("permedia2", tracing=False)
-        stubs = bind_stubs("permedia2", "native", bus, bases, debug=True)
-        stubs.repeat("set_fb_write_mask", 64, 0xDEADBEEF)
-        stubs.sync_to_bus()
-        assert bus.accounting.writes == 64
-        assert aux["gpu"].write_mask == 0xDEADBEEF
-
-    def test_struct_setter_batch_takes_declaration_order(self):
-        bus, aux, bases = build_machine("cs4236", tracing=False)
-        stubs = bind_stubs("cs4236", "native", bus, bases, debug=True)
-        stubs.repeat("set_left_dac_output", 5, 9, True, False)
-        state = stubs.get_left_dac_output()
-        assert state == {"left_dac_attenuation": 9,
-                         "left_dac_mute": True,
-                         "left_dac_pad": False}
-
-    def test_struct_setter_batch_arity_checked(self):
-        bus, aux, bases = build_machine("cs4236", tracing=False)
-        stubs = bind_stubs("cs4236", "native", bus, bases, debug=True)
-        with pytest.raises(DevilRuntimeError, match="positional"):
-            stubs.repeat("set_left_dac_output", 2, 9)
-
-    def test_collector_present_falls_back_to_python_loop(self):
-        bus, aux, bases = build_machine("busmouse")
-        with obs.observe(bus) as collector:
-            stubs = bind_stubs("busmouse", "native", bus, bases,
-                               debug=False)
-            collector.register_ports(
-                "busmouse", getattr(stubs, "_obs_ports", {}))
-            stubs.set_config("CONFIGURATION")
-            stubs.repeat("get_mouse_state", 7)
-        spans = [s for s in collector.spans
-                 if s.stub == "get_mouse_state"]
-        assert len(spans) == 7    # one span per call, not per batch
-
-    def test_zero_and_negative_counts_are_noops(self):
-        _bus, _aux, stubs = self._machines(tracing=False)
-        assert stubs.repeat("set_config", 0, "CONFIGURATION") is None
-        assert stubs.repeat("set_config", -3, "CONFIGURATION") is None
-
-    def test_unknown_stub_rejected(self):
-        _bus, _aux, stubs = self._machines(tracing=False)
-        with pytest.raises(DevilRuntimeError, match="unknown stub"):
-            stubs.repeat("get_nonsense", 3)
-
-    def test_setter_batch_validates_value_first(self):
-        _bus, _aux, stubs = self._machines(tracing=False)
-        with pytest.raises(DevilRuntimeError):
-            stubs.repeat("set_config", 5, "NOT_A_SYMBOL")
-
-    def test_error_mid_batch_propagates(self):
-        class Boom:
-            def __init__(self):
-                self.calls = 0
-
-            def io_read(self, offset, width):
-                self.calls += 1
-                if self.calls > 3:
-                    raise RuntimeError("device exploded")
-                return 0xA5
-
-            def io_write(self, value, offset=0, width=8):
-                pass
-
-        bus = Bus()
-        boom = Boom()
-        bus.map_device(MOUSE_BASE, 4, boom, "boom")
-        stubs = shipped_spec("busmouse").bind(
-            bus, {"base": MOUSE_BASE}, debug=False, strategy="native")
-        with pytest.raises(RuntimeError, match="device exploded"):
-            stubs.repeat("get_signature", 10)
-        stubs.sync_to_bus()
-        # The three successful accesses are accounted, no more.
-        assert bus.accounting.reads == 3
-
-
-# ---------------------------------------------------------------------------
-# State seam and caches
-# ---------------------------------------------------------------------------
-
-
-@needs_cc
-class TestStateSeam:
-    def test_cached_register_reflects_c_state(self):
-        bus, aux, bases = build_machine("busmouse", tracing=False)
-        stubs = bind_stubs("busmouse", "native", bus, bases, debug=False)
-        stubs.set_config("CONFIGURATION")
-        assert stubs.cached_register("cr") is not None
-        assert stubs.cached_register("not_a_register") is None
-
-    def test_invalidate_caches_forces_refetch(self):
-        bus, aux, bases = build_machine("busmouse", tracing=False)
-        stubs = bind_stubs("busmouse", "native", bus, bases, debug=False)
-        stubs.set_config("CONFIGURATION")
-        stubs.get_mouse_state()
-        before = bus.accounting.reads
-        stubs.invalidate_caches()
-        stubs.get_mouse_state()
-        assert bus.accounting.reads > before
-
-    def test_flight_recorder_decodes_ring(self):
-        bus, aux, bases = build_machine("busmouse", tracing=False)
-        stubs = bind_stubs("busmouse", "native", bus, bases, debug=False)
-        stubs.set_config("CONFIGURATION")
-        stubs.repeat("get_mouse_state", 3)
-        entries = stubs.flight_recorder()
-        assert entries
-        assert {entry.op for entry in entries} <= {"r", "w"}
-        assert all(entry.width in (8, 16, 32) for entry in entries)
-
-
-# ---------------------------------------------------------------------------
-# Build cache
-# ---------------------------------------------------------------------------
-
-
-@needs_cc
-class TestBuildCache:
-    def test_second_bind_hits_the_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(native_build.CACHE_ENV, str(tmp_path))
-        bus, aux, bases = build_machine("busmouse", tracing=False)
-        before = native_build.BUILD_COUNT
-        bind_stubs("busmouse", "native", bus, bases, debug=False)
-        assert native_build.BUILD_COUNT == before + 1
-        bus2, aux2, bases2 = build_machine("busmouse", tracing=False)
-        bind_stubs("busmouse", "native", bus2, bases2, debug=False)
-        assert native_build.BUILD_COUNT == before + 1   # no rebuild
-
-    def test_debug_flag_keys_the_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(native_build.CACHE_ENV, str(tmp_path))
-        bus, aux, bases = build_machine("busmouse", tracing=False)
-        before = native_build.BUILD_COUNT
-        bind_stubs("busmouse", "native", bus, bases, debug=False)
-        bus2, aux2, bases2 = build_machine("busmouse", tracing=False)
-        bind_stubs("busmouse", "native", bus2, bases2, debug=True)
-        assert native_build.BUILD_COUNT == before + 2
-        names = [p.name for p in tmp_path.iterdir() if p.is_file()]
-        assert any("-rel-" in name for name in names)
-        assert any("-dbg-" in name for name in names)
-
-    def test_build_key_varies_with_inputs(self):
-        key = native_build.build_key("x", "h", "s", False)
-        assert native_build.build_key("x", "h", "s", True) != key
-        assert native_build.build_key("x", "H", "s", False) != key
-        assert native_build.build_key("x", "h", "S", False) != key
-
-
-# ---------------------------------------------------------------------------
-# No-compiler behaviour (runs everywhere)
-# ---------------------------------------------------------------------------
-
-
-class TestNoCompilerFallback:
-    @pytest.fixture
-    def no_compiler(self, monkeypatch):
-        monkeypatch.setattr(native_build, "_discover",
-                            lambda: (None, "none"))
-        native_build._reset_compiler_cache()
-        yield
-        native_build._reset_compiler_cache()
-
-    def test_native_available_false(self, no_compiler):
-        assert native_build.native_available() is False
-
-    def test_native_strategy_raises_clear_diagnostic(self, no_compiler):
-        bus, aux, bases = build_machine("busmouse", tracing=False)
-        with pytest.raises(NativeBuildError,
-                           match="no C compiler found"):
-            bind_stubs("busmouse", "native", bus, bases, debug=False)
-
-    def test_auto_falls_back_to_specialize(self, no_compiler):
-        bus, aux, bases = build_machine("busmouse", tracing=False)
-        stubs = bind_stubs("busmouse", "auto", bus, bases, debug=False)
-        assert stubs.strategy == "specialize"
-
-    def test_auto_workload_still_exact(self, no_compiler):
-        reference = run_workload("busmouse", "interpret")
-        assert run_workload("busmouse", "auto") == reference
-
-
-@needs_cc
-class TestAutoStrategy:
-    def test_auto_picks_native_with_a_compiler(self):
-        bus, aux, bases = build_machine("busmouse", tracing=False)
-        stubs = bind_stubs("busmouse", "auto", bus, bases, debug=False)
-        assert isinstance(stubs, NativeDeviceInstance)
-        assert stubs.strategy == "native"
-
-    def test_auto_with_shadow_cache_uses_specializer(self):
-        bus, aux, bases = build_machine("ide", tracing=False)
-        stubs = bind_stubs("ide", "auto", bus, bases, debug=False,
-                           shadow_cache=True)
-        assert stubs.strategy == "specialize"
-
-
-# ---------------------------------------------------------------------------
-# Unsupported features and error paths
-# ---------------------------------------------------------------------------
-
-
-@needs_cc
-class TestRejections:
-    def test_transactions_rejected(self):
-        bus, aux, bases = build_machine("ide", tracing=False)
-        stubs = bind_stubs("ide", "native", bus, bases, debug=False)
-        with pytest.raises(DevilRuntimeError, match="transactions"):
-            stubs.txn()
-
-    def test_shadow_cache_rejected(self):
-        bus, aux, bases = build_machine("ide", tracing=False)
-        with pytest.raises(DevilRuntimeError, match="shadow_cache"):
-            bind_stubs("ide", "native", bus, bases, debug=False,
-                       shadow_cache=True)
-
-    def test_rmw_composition_rejected(self):
-        spec = shipped_spec("busmouse")
-        with pytest.raises(DevilRuntimeError, match="composition"):
-            spec.bind(Bus(), {"base": MOUSE_BASE}, strategy="native",
-                      composition="read-modify-write")
-
-    def test_unknown_strategy_names_the_choices(self):
-        spec = shipped_spec("busmouse")
-        with pytest.raises(DevilRuntimeError, match="native"):
-            spec.bind(Bus(), {"base": MOUSE_BASE}, strategy="compiled")
-
-
-@needs_cc
 class TestErrorPaths:
     def test_unmapped_port_raises_bus_error(self):
-        stubs = shipped_spec("busmouse").bind(
-            Bus(), {"base": MOUSE_BASE}, debug=False, strategy="native")
-        with pytest.raises(BusError, match="no device mapped"):
-            stubs.get_signature()
-        with pytest.raises(BusError, match="no device mapped"):
-            stubs.repeat("get_signature", 4)
+        for strategy in STRATEGIES:
+            stubs = shipped_spec("busmouse").bind(
+                Bus(), {"base": MOUSE_BASE}, debug=False, strategy=strategy)
+            with pytest.raises(BusError, match="no device mapped"):
+                stubs.get_signature()
 
     def test_member_read_before_fetch_debug_check(self):
-        bus, aux, bases = build_machine("busmouse", tracing=False)
-        stubs = bind_stubs("busmouse", "native", bus, bases, debug=True)
-        with pytest.raises(DevilRuntimeError, match="get_mouse_state"):
-            stubs.get_dx()
+        for strategy in STRATEGIES:
+            bus, aux, bases = build_machine("busmouse", tracing=False)
+            stubs = bind_stubs("busmouse", strategy, bus, bases, debug=True)
+            with pytest.raises(DevilRuntimeError, match="get_mouse_state"):
+                stubs.get_dx()
 
     MEMORY_SOURCE = """
     device memtest (base : bit[8] port @ {0}) {
@@ -446,12 +59,12 @@ class TestErrorPaths:
         from repro.devil.compiler import compile_spec
         spec = compile_spec(self.MEMORY_SOURCE)
         stubs = spec.bind(self._ram_bus(), {"base": 0x10}, debug=debug,
-                          strategy="native")
+                          strategy="specialize")
         with pytest.raises(DevilRuntimeError,
                            match="read before initialisation"):
             stubs.get("xm")
-        # C-side set-action initialises the memory mirror; the generic
-        # accessor must observe it even in release builds.
+        # A variable set-action initialises the memory variable; the
+        # generic accessor must observe it even in release mode.
         stubs.set_gate(True)
         assert stubs.get("xm") is True
         stubs.set_rest(3)       # register set-action: xm = false
@@ -463,51 +76,22 @@ class TestErrorPaths:
     def test_memory_matches_interpreter(self, debug):
         from repro.devil.compiler import compile_spec
         spec = compile_spec(self.MEMORY_SOURCE)
-        native = spec.bind(self._ram_bus(), {"base": 0x10}, debug=debug,
-                           strategy="native")
+        special = spec.bind(self._ram_bus(), {"base": 0x10}, debug=debug,
+                            strategy="specialize")
         interp = spec.bind(self._ram_bus(), {"base": 0x10}, debug=debug,
                            strategy="interpret")
-        for instance in (native, interp):
+        for instance in (special, interp):
             instance.set_gate(True)
             instance.set_rest(5)
             instance.get_rest()
-        assert native.get("xm") == interp.get("xm")
-        assert native.get_rest() == interp.get_rest()
-
-    def test_generic_accessors_route_natively(self):
-        bus, aux, bases = build_machine("busmouse", tracing=False)
-        stubs = bind_stubs("busmouse", "native", bus, bases, debug=False)
-        stubs.set("config", "CONFIGURATION")
-        assert stubs.get("signature") == stubs.get_signature()
-        state = stubs.get_structure("mouse_state")
-        assert set(state) == {"dx", "dy", "buttons"}
-        with pytest.raises(DevilRuntimeError, match="unknown variable"):
-            stubs.get("nonsense")
+        assert special.get("xm") == interp.get("xm")
+        assert special.get_rest() == interp.get_rest()
 
     def test_block_errors_match_interpreter(self):
-        bus, aux, bases = build_machine("ide", tracing=False)
-        stubs = bind_stubs("ide", "native", bus, bases, debug=False)
-        with pytest.raises(BusError, match="negative block count"):
-            stubs.read_ide_data_block(-1)
-        assert stubs.read_ide_data_block(0) == []
-        assert stubs.write_ide_data_block([]) == 0
-
-
-# ---------------------------------------------------------------------------
-# Fleet integration
-# ---------------------------------------------------------------------------
-
-
-@needs_cc
-@pytest.mark.concurrency
-class TestFleetIntegration:
-    def test_thread_fleet_runs_native_devices(self):
-        from repro.engine import Fleet
-
-        with Fleet(["busmouse", "ide"], strategy="native",
-                   workers=2, op_latency_us=0.0) as fleet:
-            schedule = [(name, WORKLOADS[name])
-                        for _ in range(4) for name in ("busmouse", "ide")]
-            fleet.run(schedule)
-            assert fleet.completed() == len(schedule)
-        assert fleet.accounting.total_ops > 0
+        for strategy in STRATEGIES:
+            bus, aux, bases = build_machine("ide", tracing=False)
+            stubs = bind_stubs("ide", strategy, bus, bases, debug=False)
+            with pytest.raises(BusError, match="negative block count"):
+                stubs.read_ide_data_block(-1)
+            assert stubs.read_ide_data_block(0) == []
+            assert stubs.write_ide_data_block([]) == 0

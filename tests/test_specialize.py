@@ -7,8 +7,8 @@ runtime (``strategy="interpret"``), the bind-time specializer
 the same driver workload (from :mod:`repro.obs.workloads`, shared with
 the telemetry tests and the ``devilc trace`` CLI) against identical
 simulated machines under all three and asserts byte-identical
-:attr:`Bus.trace` I/O traces, identical :class:`IoAccounting` counters
-and identical decoded results.
+:attr:`Bus.trace` I/O traces, identical :class:`IoAccounting` counters,
+identical decoded results and byte-equal device-model end state.
 
 Debug-mode error parity is checked separately: interpreted and
 specialized stubs must raise the *same* ``DevilRuntimeError`` text for
@@ -16,6 +16,8 @@ out-of-range writes, illegal enum symbols, structure-protocol violations
 and missing/unknown structure members — and must perform no I/O while
 doing so.
 """
+
+import re
 
 import pytest
 
@@ -34,8 +36,29 @@ from repro.specs import SPEC_NAMES
 from tests.conftest import shipped_spec
 
 # ---------------------------------------------------------------------------
-# Three-way trace / accounting / result parity
+# Three-way trace / accounting / result / end-state parity
 # ---------------------------------------------------------------------------
+
+
+def _normalize(value, seen=None):
+    """Address-free snapshot of a device model's state for comparison."""
+    if seen is None:
+        seen = set()
+    if isinstance(value, (bytes, bytearray)):
+        return bytes(value)
+    if hasattr(value, "tobytes"):       # numpy arrays, memoryviews
+        return value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return tuple(_normalize(item, seen) for item in value)
+    if isinstance(value, dict):
+        return tuple(sorted(
+            (key, _normalize(item, seen)) for key, item in value.items()))
+    if hasattr(value, "__dict__"):
+        if id(value) in seen:
+            return "<cycle>"
+        seen.add(id(value))
+        return _normalize(vars(value), seen)
+    return value
 
 
 class TestThreeWayParity:
@@ -63,6 +86,19 @@ class TestThreeWayParity:
                 name, kind, debug=True)
             assert debug_trace == release_trace
             assert debug_acct == release_acct
+
+    @pytest.mark.parametrize("name", SPEC_NAMES)
+    def test_device_end_state_byte_equal(self, name):
+        states = {}
+        for kind in STRATEGIES:
+            bus, aux, bases = build_machine(name, tracing=False)
+            stubs = bind_stubs(name, kind, bus, bases, debug=True)
+            WORKLOADS[name](stubs, aux)
+            states[kind] = {label: _normalize(model)
+                            for label, model in aux.items()}
+        for kind in ("specialize", "generated"):
+            assert states[kind] == states["interpret"], \
+                f"{kind} device end-state differs"
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +272,16 @@ class TestSpecializedInstance:
         bus, aux, bases = build_machine("busmouse")
         with pytest.raises(DevilRuntimeError, match="execution strategy"):
             shipped_spec("busmouse").bind(bus, bases, strategy="jit")
+
+    @pytest.mark.parametrize("strategy", ["native", "auto"])
+    def test_unknown_strategy_names_the_choices(self, strategy):
+        bus, aux, bases = build_machine("busmouse")
+        with pytest.raises(DevilRuntimeError) as caught:
+            shipped_spec("busmouse").bind(bus, bases, strategy=strategy)
+        message = str(caught.value)
+        assert re.search(
+            rf"unknown execution strategy '{strategy}' "
+            rf"\(choose 'interpret' or 'specialize'\)$", message), message
 
     @pytest.mark.parametrize("name", SPEC_NAMES)
     def test_public_surface_identical(self, name):
