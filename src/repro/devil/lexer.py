@@ -9,6 +9,7 @@ enumerated-type arrows ``=>``, ``<=`` and ``<=>``.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -67,29 +68,29 @@ KEYWORDS = frozenset({
 #: devices — see ``repro.devil.mask``.)
 BITPATTERN_CHARS = frozenset("01.*-")
 
-_PUNCTUATION_3 = {"<=>": TokenKind.ARROW_BOTH}
-_PUNCTUATION_2 = {
-    "..": TokenKind.DOTDOT,
-    "==": TokenKind.EQ,
-    "=>": TokenKind.ARROW_WRITE,
-    "<=": TokenKind.ARROW_READ,
-}
-_PUNCTUATION_1 = {
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "[": TokenKind.LBRACKET,
-    "]": TokenKind.RBRACKET,
-    "@": TokenKind.AT,
-    ":": TokenKind.COLON,
-    ";": TokenKind.SEMICOLON,
-    ",": TokenKind.COMMA,
-    "#": TokenKind.HASH,
-    "*": TokenKind.STAR,
-    "+": TokenKind.PLUS,
-    "=": TokenKind.ASSIGN,
-}
+#: Punctuation, spelled by its kind's value (the other kinds' values are
+#: descriptive words).
+_PUNCTUATION = {kind.value: kind for kind in TokenKind
+                if not kind.value[0].isalpha()}
+
+_BIT = "[" + re.escape("".join(sorted(BITPATTERN_CHARS))) + "]"
+
+#: One token after any whitespace and comments.  The alternatives keep
+#: the order of precedence of Devil's lexical grammar.  ``odd`` matches
+#: wherever the others fail, so consecutive matches tile the source:
+#: lexical errors, and words and numbers that start outside ASCII or
+#: need a look at the character after them (see :func:`_odd_token`).
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*"
+    r"(?:(?P<word>[A-Za-z_]\w*)"
+    r"|(?P<punct>" + "|".join(map(re.escape, sorted(
+        _PUNCTUATION, key=len, reverse=True))) + ")"
+    r"|(?P<dec>(?!0[xX])\d+(?!\w))"
+    r"|(?P<radix>0[xX][^\W_]+|0[bB][^\W_]*)"
+    rf"|(?P<bits>'{_BIT}+')"
+    r"|(?P<eof>\Z)"
+    r"|(?P<odd>\d+|[^\W\d]\w*|.))", re.DOTALL)
+_BITS = re.compile(_BIT + "*")
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ class Token:
 
 
 class Lexer:
-    """Hand-written scanner producing :class:`Token` objects.
+    """Regex scanner producing :class:`Token` objects.
 
     The scanner is deliberately simple and fully deterministic: the only
     context sensitivity in Devil's lexical grammar is the single-quoted
@@ -123,152 +124,80 @@ class Lexer:
     def __init__(self, source: str, filename: str = "<devil>"):
         self._source = source
         self._filename = filename
-        self._pos = 0
-        self._line = 1
-        self._column = 1
-
-    def _location(self) -> SourceLocation:
-        return SourceLocation(self._line, self._column, self._filename)
-
-    def _peek(self, ahead: int = 0) -> str:
-        index = self._pos + ahead
-        if index >= len(self._source):
-            return ""
-        return self._source[index]
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self._pos >= len(self._source):
-                return
-            if self._source[self._pos] == "\n":
-                self._line += 1
-                self._column = 1
-            else:
-                self._column += 1
-            self._pos += 1
-
-    def _skip_trivia(self) -> None:
-        """Skip whitespace and both comment styles."""
-        while self._pos < len(self._source):
-            char = self._peek()
-            if char in " \t\r\n":
-                self._advance()
-            elif char == "/" and self._peek(1) == "/":
-                while self._pos < len(self._source) and self._peek() != "\n":
-                    self._advance()
-            elif char == "/" and self._peek(1) == "*":
-                start = self._location()
-                self._advance(2)
-                while self._pos < len(self._source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise DevilLexError("unterminated block comment", start)
-            else:
-                return
-
-    def _lex_bit_pattern(self) -> Token:
-        start = self._location()
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            char = self._peek()
-            if char == "'":
-                self._advance()
-                break
-            if char == "" or char == "\n":
-                raise DevilLexError("unterminated bit pattern", start)
-            if char not in BITPATTERN_CHARS:
-                raise DevilLexError(
-                    f"invalid character {char!r} in bit pattern "
-                    f"(allowed: 0 1 . * -)", self._location())
-            chars.append(char)
-            self._advance()
-        if not chars:
-            raise DevilLexError("empty bit pattern", start)
-        return Token(TokenKind.BITPATTERN, "".join(chars), start)
-
-    def _lex_number(self) -> Token:
-        start = self._location()
-        begin = self._pos
-        if self._peek() == "0" and self._peek(1) in "xX":
-            self._advance(2)
-            if not self._peek().isalnum():
-                raise DevilLexError("incomplete hexadecimal literal", start)
-            while self._peek().isalnum():
-                self._advance()
-            text = self._source[begin:self._pos]
-            try:
-                value = int(text, 16)
-            except ValueError:
-                raise DevilLexError(f"invalid hexadecimal literal {text!r}",
-                                    start) from None
-        elif self._peek() == "0" and self._peek(1) in "bB":
-            self._advance(2)
-            while self._peek().isalnum():
-                self._advance()
-            text = self._source[begin:self._pos]
-            try:
-                value = int(text, 2)
-            except ValueError:
-                raise DevilLexError(f"invalid binary literal {text!r}",
-                                    start) from None
-        else:
-            while self._peek().isdigit():
-                self._advance()
-            text = self._source[begin:self._pos]
-            value = int(text, 10)
-            if self._peek().isalpha() or self._peek() == "_":
-                raise DevilLexError(
-                    f"identifier may not start with a digit near {text!r}",
-                    start)
-        return Token(TokenKind.INT, text, start, value=value)
-
-    def _lex_word(self) -> Token:
-        start = self._location()
-        begin = self._pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self._source[begin:self._pos]
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, start)
-
-    def next_token(self) -> Token:
-        """Return the next token (``EOF`` forever once input is spent)."""
-        self._skip_trivia()
-        start = self._location()
-        char = self._peek()
-        if char == "":
-            return Token(TokenKind.EOF, "", start)
-        if char == "'":
-            return self._lex_bit_pattern()
-        if char.isdigit():
-            return self._lex_number()
-        if char.isalpha() or char == "_":
-            return self._lex_word()
-
-        three = self._source[self._pos:self._pos + 3]
-        if three in _PUNCTUATION_3:
-            self._advance(3)
-            return Token(_PUNCTUATION_3[three], three, start)
-        two = self._source[self._pos:self._pos + 2]
-        if two in _PUNCTUATION_2:
-            self._advance(2)
-            return Token(_PUNCTUATION_2[two], two, start)
-        if char in _PUNCTUATION_1:
-            self._advance()
-            return Token(_PUNCTUATION_1[char], char, start)
-        raise DevilLexError(f"unexpected character {char!r}", start)
 
     def tokens(self) -> Iterator[Token]:
         """Yield every token, ending with a single ``EOF`` token."""
-        while True:
-            token = self.next_token()
-            yield token
-            if token.kind is TokenKind.EOF:
+        source, filename = self._source, self._filename
+        line, line_start = 1, 0
+        for found in _TOKEN.finditer(source):
+            group = found.lastgroup
+            start, end = found.span(group)
+            trivia = found.start()
+            newline = source.rfind("\n", trivia, start)
+            if newline >= 0:
+                line += source.count("\n", trivia, newline + 1)
+                line_start = newline + 1
+            location = SourceLocation(line, start - line_start + 1, filename)
+            text = source[start:end]
+            if group == "word":
+                kind = TokenKind.KEYWORD if text in KEYWORDS \
+                    else TokenKind.IDENT
+                yield Token(kind, text, location)
+            elif group == "punct":
+                yield Token(_PUNCTUATION[text], text, location)
+            elif group == "dec":
+                yield Token(TokenKind.INT, text, location, value=int(text))
+            elif group == "radix":
+                base, name = (16, "hexadecimal") if text[1] in "xX" \
+                    else (2, "binary")
+                try:
+                    value = int(text, base)
+                except ValueError:
+                    raise DevilLexError(f"invalid {name} literal {text!r}",
+                                        location) from None
+                yield Token(TokenKind.INT, text, location, value=value)
+            elif group == "bits":
+                yield Token(TokenKind.BITPATTERN, text[1:-1], location)
+            elif group == "eof":
+                yield Token(TokenKind.EOF, "", location)
                 return
+            else:
+                yield _odd_token(source, start, end, location)
+
+
+def _odd_token(source: str, start: int, end: int,
+               location: SourceLocation) -> Token:
+    """Lex the ``odd`` match ``source[start:end]``, or raise the
+    diagnostic of the token that starts there."""
+    text = source[start:end]
+    char = text[0]
+    if source.startswith("/*", start):
+        raise DevilLexError("unterminated block comment", location)
+    if char == "'":
+        stop = _BITS.match(source, start + 1).end()
+        bad = source[stop:stop + 1]
+        if bad == "'":
+            raise DevilLexError("empty bit pattern", location)
+        if bad in ("", "\n"):
+            raise DevilLexError("unterminated bit pattern", location)
+        raise DevilLexError(
+            f"invalid character {bad!r} in bit pattern "
+            f"(allowed: 0 1 . * -)",
+            SourceLocation(location.line, location.column + stop - start,
+                           location.filename))
+    if source.startswith(("0x", "0X"), start):
+        raise DevilLexError("incomplete hexadecimal literal", location)
+    if char.isdecimal():
+        follow = source[end:end + 1]
+        if follow.isalpha() or follow == "_":
+            raise DevilLexError(
+                f"identifier may not start with a digit near {text!r}",
+                location)
+        return Token(TokenKind.INT, text, location, value=int(text))
+    if char.isalpha():
+        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
+        return Token(kind, text, location)
+    raise DevilLexError(f"unexpected character {char!r}", location)
 
 
 def tokenize(source: str, filename: str = "<devil>") -> list[Token]:

@@ -12,6 +12,7 @@ string literals, the full C operator set, and preprocessor directives
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 
@@ -44,7 +45,6 @@ _OPERATORS = [
     "+", "-", "*", "/", "%", "<", ">", "=", "!", "&", "|", "^", "~",
     "?", ":", ".",
 ]
-_PUNCTUATION = ["(", ")", "[", "]", "{", "}", ",", ";"]
 
 
 class CLexError(Exception):
@@ -62,109 +62,80 @@ class CToken:
         return f"{self.kind.value} {self.text!r}"
 
 
+#: One token after any whitespace and comments, in the order of
+#: precedence of the C lexical grammar.  ``odd`` and ``other`` match
+#: wherever the others fail, so consecutive matches tile the source:
+#: lexical errors, and tokens that start outside ASCII or with a ``.``
+#: before a non-ASCII character (see :func:`_odd_token`).
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*"
+    r"(?:(?P<ident>[A-Za-z_]\w*)"
+    r"|(?P<punct>[()\[\]{},;])"
+    r"|(?P<number>\.?\d[\w.]*)"
+    r"|(?P<odd>/\*|\.(?=[^\x00-\x7f])|[^\x00-\x7f\W\d]\w*)"
+    r"|(?P<operator>" + "|".join(map(re.escape, _OPERATORS)) + ")"
+    r"|(?P<directive>\#(?:[^\n\\]|\\\n?)*)"
+    r"|(?P<char>'(?:[^'\\]|\\.)+')"
+    r"|(?P<string>\"(?:[^\"\\]|\\.)*\")"
+    r"|(?P<eof>\Z)"
+    r"|(?P<other>.))", re.DOTALL)
+_NUMBER_TAIL = re.compile(r"[\w.]*")
+
+_KINDS = {
+    "ident": CTokenKind.IDENT, "punct": CTokenKind.PUNCT,
+    "number": CTokenKind.NUMBER, "operator": CTokenKind.OPERATOR,
+    "directive": CTokenKind.DIRECTIVE, "char": CTokenKind.CHAR,
+    "string": CTokenKind.STRING,
+}
+
+
 def tokenize_c(source: str) -> list[CToken]:
     """Tokenize ``source``; raises :class:`CLexError` on bad input."""
     tokens: list[CToken] = []
-    position = 0
     line = 1
-    length = len(source)
-
-    def peek(ahead: int = 0) -> str:
-        index = position + ahead
-        return source[index] if index < length else ""
-
-    while position < length:
-        char = source[position]
-        if char == "\n":
-            line += 1
-            position += 1
-            continue
-        if char in " \t\r":
-            position += 1
-            continue
-        if char == "/" and peek(1) == "/":
-            while position < length and source[position] != "\n":
-                position += 1
-            continue
-        if char == "/" and peek(1) == "*":
-            end = source.find("*/", position + 2)
-            if end < 0:
-                raise CLexError(f"line {line}: unterminated comment")
-            line += source.count("\n", position, end)
-            position = end + 2
-            continue
-        if char == "#":
-            start = position
-            # A directive runs to the end of line, honouring \ splices.
-            while position < length and source[position] != "\n":
-                if source[position] == "\\" and peek(1) == "\n":
-                    position += 2
-                    line += 1
-                    continue
-                position += 1
-            tokens.append(CToken(CTokenKind.DIRECTIVE,
-                                 source[start:position], start, line))
-            continue
-        if char.isdigit() or (char == "." and peek(1).isdigit()):
-            start = position
-            while position < length and (source[position].isalnum()
-                                         or source[position] in "._"):
-                position += 1
-            text = source[start:position]
-            _validate_number(text, line)
-            tokens.append(CToken(CTokenKind.NUMBER, text, start, line))
-            continue
-        if char.isalpha() or char == "_":
-            start = position
-            while position < length and (source[position].isalnum()
-                                         or source[position] == "_"):
-                position += 1
-            tokens.append(CToken(CTokenKind.IDENT, source[start:position],
-                                 start, line))
-            continue
-        if char == "'":
-            start = position
-            position += 1
-            while position < length and source[position] != "'":
-                if source[position] == "\\":
-                    position += 1
-                position += 1
-            if position >= length:
-                raise CLexError(f"line {line}: unterminated char literal")
-            position += 1
-            text = source[start:position]
-            if len(text) < 3:
-                raise CLexError(f"line {line}: empty char literal")
-            tokens.append(CToken(CTokenKind.CHAR, text, start, line))
-            continue
-        if char == '"':
-            start = position
-            position += 1
-            while position < length and source[position] != '"':
-                if source[position] == "\\":
-                    position += 1
-                position += 1
-            if position >= length:
-                raise CLexError(f"line {line}: unterminated string")
-            position += 1
-            tokens.append(CToken(CTokenKind.STRING,
-                                 source[start:position], start, line))
-            continue
-        for operator in _OPERATORS:
-            if source.startswith(operator, position):
-                tokens.append(CToken(CTokenKind.OPERATOR, operator,
-                                     position, line))
-                position += len(operator)
+    for found in _TOKEN.finditer(source):
+        group = found.lastgroup
+        start, end = found.span(group)
+        line += source.count("\n", found.start(), start)
+        text = source[start:end]
+        kind = _KINDS.get(group)
+        if kind is None:
+            if group == "eof":
                 break
-        else:
-            if char in _PUNCTUATION:
-                tokens.append(CToken(CTokenKind.PUNCT, char, position,
-                                     line))
-                position += 1
-            else:
-                raise CLexError(f"line {line}: stray character {char!r}")
-    tokens.append(CToken(CTokenKind.EOF, "", length, line))
+            tokens.append(_odd_token(source, start, end, line))
+            continue
+        if kind is CTokenKind.NUMBER:
+            _validate_number(text, line)
+        elif kind is CTokenKind.DIRECTIVE:
+            # The token's line is the last one a \-newline splice reaches.
+            line += text.count("\n")
+        tokens.append(CToken(kind, text, start, line))
+    tokens.append(CToken(CTokenKind.EOF, "", len(source), line))
     return tokens
+
+
+def _odd_token(source: str, start: int, end: int, line: int) -> CToken:
+    """Lex the ``odd``/``other`` match ``source[start:end]``, or raise
+    the diagnostic of the token that starts there."""
+    text = source[start:end]
+    char = text[0]
+    if source.startswith("/*", start):
+        raise CLexError(f"line {line}: unterminated comment")
+    if char == "'":
+        if source.startswith("''", start):
+            raise CLexError(f"line {line}: empty char literal")
+        raise CLexError(f"line {line}: unterminated char literal")
+    if char == '"':
+        raise CLexError(f"line {line}: unterminated string")
+    if char.isdigit() or (char == "." and source[end:end + 1].isdigit()):
+        # A literal led by a digit outside ASCII never validates.
+        text = source[start:_NUMBER_TAIL.match(source, start + 1).end()]
+        raise CLexError(f"line {line}: bad numeric literal {text!r}")
+    if char.isalpha():
+        return CToken(CTokenKind.IDENT, text, start, line)
+    if char == ".":
+        return CToken(CTokenKind.OPERATOR, text, start, line)
+    raise CLexError(f"line {line}: stray character {char!r}")
 
 
 def _validate_number(text: str, line: int) -> None:

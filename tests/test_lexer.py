@@ -39,6 +39,11 @@ class TestBasicTokens:
         (token,) = tokenize("0x3C")[:-1]
         assert token.value == 0x3C
 
+    def test_zero_at_end_of_input_is_an_integer(self):
+        *_, zero, eof = tokenize("x = 0")
+        assert (zero.kind, zero.text, zero.value) == (TokenKind.INT, "0", 0)
+        assert eof.kind is TokenKind.EOF
+
     def test_binary_integer(self):
         (token,) = tokenize("0b1011")[:-1]
         assert token.value == 0b1011
@@ -140,6 +145,23 @@ class TestErrors:
     def test_invalid_hex_digits(self):
         with pytest.raises(DevilLexError):
             tokenize("0xZZ")
+
+    @pytest.mark.parametrize("source,column", [("²", 1), ("1²", 2)],
+                             ids=["alone", "after_a_digit"])
+    def test_non_decimal_digit_is_an_unexpected_character(self, source,
+                                                          column):
+        with pytest.raises(DevilLexError) as caught:
+            tokenize(source)
+        assert caught.value.message == "unexpected character '²'"
+        assert caught.value.location.column == column
+
+    def test_non_decimal_digit_in_a_spec_is_a_lex_error(self):
+        from repro.devil.compiler import compile_spec
+        from repro.specs import load_source
+        source = load_source("busmouse").replace("@ 0", "@ ²", 1)
+        assert source != load_source("busmouse")
+        with pytest.raises(DevilLexError, match="unexpected character"):
+            compile_spec(source)
 
 
 class TestFigureOne:
