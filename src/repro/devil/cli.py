@@ -566,9 +566,9 @@ def _run_campaign(arguments) -> int:
             print(f"bad --batch-size {batch_size!r} "
                   f"(want an integer or 'auto')", file=sys.stderr)
             return 1
-    caps = MutantCaps() if arguments.full \
-        else MutantCaps.quick(arguments.budget)
     try:
+        caps = MutantCaps() if arguments.full \
+            else MutantCaps.quick(arguments.budget)
         config = CampaignConfig(
             specs=tuple(arguments.specs or SPEC_NAMES),
             styles=tuple(arguments.styles or STYLES),

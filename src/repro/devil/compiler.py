@@ -12,14 +12,18 @@ backends.  :func:`compile_spec` runs the front end and returns a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from ..bus import Bus
+from ..relex import LexBaseline
 from . import ast
 from .checker import check
 from .errors import Diagnostic, DiagnosticSink
 from .model import ResolvedDevice
 from .parser import parse
-from .runtime import DeviceInstance
+
+if TYPE_CHECKING:
+    from ..bus import Bus
+    from .runtime import DeviceInstance
 
 
 @dataclass
@@ -58,6 +62,8 @@ class CompiledSpec:
         authoritative are served without port I/O (see
         :mod:`repro.devil.plan`).
         """
+        from .runtime import DeviceInstance
+
         return DeviceInstance(self.model, bus, bases, debug=debug,
                               composition=composition,
                               strategy=strategy,
@@ -85,13 +91,16 @@ class CompiledSpec:
         return generate_markdown(self.model)
 
 
-def compile_spec(source: str, filename: str = "<devil>") -> CompiledSpec:
+def compile_spec(source: str, filename: str = "<devil>",
+                 base: LexBaseline | None = None) -> CompiledSpec:
     """Compile one Devil specification from source text.
 
-    Raises :class:`~repro.devil.errors.DevilParseError` or
+    ``base``, a :func:`~repro.devil.lexer.devil_baseline` of a related
+    source, lets the lexer re-scan only the edited window.  Raises
+    :class:`~repro.devil.errors.DevilParseError` or
     :class:`~repro.devil.errors.DevilCheckError` on invalid input.
     """
-    syntax = parse(source, filename)
+    syntax = parse(source, filename, base)
     sink = DiagnosticSink()
     model = check(syntax, sink)
     return CompiledSpec(source, filename, syntax, model,

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
+from ..relex import LexBaseline
 from .errors import DevilLexError, SourceLocation
 
 
@@ -91,6 +92,10 @@ _TOKEN = re.compile(
     r"|(?P<eof>\Z)"
     r"|(?P<odd>\d+|[^\W\d]\w*|.))", re.DOTALL)
 _BITS = re.compile(_BIT + "*")
+#: How far past its end a match of :data:`_TOKEN` can read (a word's or
+#: number's next character, ``<=`` trying ``<=>``): the edited source is
+#: re-scanned from the match that could have seen the first change.
+_LOOKAHEAD = 1
 
 
 @dataclass(frozen=True)
@@ -119,17 +124,43 @@ class Lexer:
     The scanner is deliberately simple and fully deterministic: the only
     context sensitivity in Devil's lexical grammar is the single-quoted
     bit pattern, which is recognised as one token.
+
+    ``base``, a :func:`devil_baseline` of a related source lexed under
+    the same ``filename``, makes :meth:`tokens` re-scan only the window
+    around the edit (see :mod:`repro.relex`); the tokens are exactly
+    those of the plain lex, and those off the edited lines are the
+    baseline's own objects.
     """
 
-    def __init__(self, source: str, filename: str = "<devil>"):
+    def __init__(self, source: str, filename: str = "<devil>",
+                 base: LexBaseline | None = None):
+        if base is not None and \
+                base.tokens[-1].location.filename != filename:
+            raise ValueError(
+                f"baseline was lexed as "
+                f"{base.tokens[-1].location.filename!r}, not {filename!r}")
         self._source = source
         self._filename = filename
+        self._base = base
 
     def tokens(self) -> Iterator[Token]:
         """Yield every token, ending with a single ``EOF`` token."""
-        source, filename = self._source, self._filename
-        line, line_start = 1, 0
-        for found in _TOKEN.finditer(source):
+        source, filename, base = self._source, self._filename, self._base
+        line, line_start, resume_at = 1, 0, 0
+        # With no baseline no match reaches ``limit``: the plain lex.
+        delta, limit = 0, len(source) + 1
+        if base is not None:
+            window = base.window(source, _LOOKAHEAD)
+            if window is None:
+                yield from base.tokens
+                return
+            resume, delta, limit = window
+            yield from base.tokens[:resume]
+            if resume:
+                line = base.tokens[resume - 1].location.line
+            resume_at = base.starts[resume]
+            line_start = source.rfind("\n", 0, resume_at) + 1
+        for found in _TOKEN.finditer(source, resume_at):
             group = found.lastgroup
             start, end = found.span(group)
             trivia = found.start()
@@ -148,10 +179,10 @@ class Lexer:
             elif group == "dec":
                 yield Token(TokenKind.INT, text, location, value=int(text))
             elif group == "radix":
-                base, name = (16, "hexadecimal") if text[1] in "xX" \
+                radix, name = (16, "hexadecimal") if text[1] in "xX" \
                     else (2, "binary")
                 try:
-                    value = int(text, base)
+                    value = int(text, radix)
                 except ValueError:
                     raise DevilLexError(f"invalid {name} literal {text!r}",
                                         location) from None
@@ -163,6 +194,46 @@ class Lexer:
                 return
             else:
                 yield _odd_token(source, start, end, location)
+            if end >= limit:
+                index = base.tail_index(end, delta)
+                if index >= 0:
+                    yield from _shifted_tail(base, index, end, line,
+                                             line_start)
+                    return
+
+
+def _shifted_tail(base: LexBaseline, index: int, end: int, line: int,
+                  line_start: int) -> Iterator[Token]:
+    """``base.tokens[index:]`` as the edited source has them: the
+    baseline match ``index`` starts where the edited source's match
+    ending at ``end`` (on ``line``, which starts at ``line_start``)
+    does.  Tokens that do not move are yielded as they are."""
+    tokens = base.tokens
+    boundary = base.starts[index]
+    boundary_line = tokens[index - 1].location.line if index else 1
+    line_shift = line - boundary_line
+    column_shift = (end - line_start) - \
+        (boundary - base.source.rfind("\n", 0, boundary) - 1)
+    position = index
+    if column_shift:
+        # Tokens sharing the boundary's line move along it.
+        while tokens[position].location.line == boundary_line:
+            token = tokens[position]
+            location = token.location
+            yield Token(token.kind, token.text, SourceLocation(
+                location.line + line_shift, location.column + column_shift,
+                location.filename), token.value)
+            position += 1
+            if position == len(tokens):
+                return
+    if not line_shift:
+        yield from tokens[position:]
+        return
+    for token in tokens[position:]:
+        location = token.location
+        yield Token(token.kind, token.text, SourceLocation(
+            location.line + line_shift, location.column,
+            location.filename), token.value)
 
 
 def _odd_token(source: str, start: int, end: int,
@@ -203,3 +274,19 @@ def _odd_token(source: str, start: int, end: int,
 def tokenize(source: str, filename: str = "<devil>") -> list[Token]:
     """Tokenize ``source`` completely; convenience wrapper over Lexer."""
     return list(Lexer(source, filename).tokens())
+
+
+def devil_baseline(source: str, filename: str = "<devil>") -> LexBaseline:
+    """The re-lexing baseline of ``source`` (see :class:`Lexer`).
+
+    Raises :class:`~repro.devil.errors.DevilLexError` if ``source``
+    does not lex.
+    """
+    tokens = list(Lexer(source, filename).tokens())
+    line_starts = [0]
+    line_starts.extend(found.end() for found in re.finditer("\n", source))
+    # A bit pattern's text leaves out its two quotes.
+    ends = [line_starts[token.location.line - 1] + token.location.column
+            - 1 + len(token.text) + 2 * (token.kind is TokenKind.BITPATTERN)
+            for token in tokens[:-1]]
+    return LexBaseline.from_ends(source, tokens, ends)

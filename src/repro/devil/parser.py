@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from . import ast
 from .errors import DevilParseError, SourceLocation
+from ..relex import LexBaseline
 from .lexer import Lexer, Token, TokenKind
 from .types import EnumDirection
 
@@ -26,8 +27,9 @@ from .types import EnumDirection
 class Parser:
     """Parses one Devil source text into a :class:`ast.DeviceDecl`."""
 
-    def __init__(self, source: str, filename: str = "<devil>"):
-        self._tokens = list(Lexer(source, filename).tokens())
+    def __init__(self, source: str, filename: str = "<devil>",
+                 base: LexBaseline | None = None):
+        self._tokens = list(Lexer(source, filename, base).tokens())
         self._index = 0
 
     # ------------------------------------------------------------------
@@ -535,6 +537,8 @@ class Parser:
         return ast.EnumItemExpr(name, pattern, direction, location)
 
 
-def parse(source: str, filename: str = "<devil>") -> ast.DeviceDecl:
-    """Parse a complete Devil specification from ``source``."""
-    return Parser(source, filename).parse_device()
+def parse(source: str, filename: str = "<devil>",
+          base: LexBaseline | None = None) -> ast.DeviceDecl:
+    """Parse a complete Devil specification from ``source``; ``base``
+    is a lexing baseline for :class:`~repro.devil.lexer.Lexer`."""
+    return Parser(source, filename, base).parse_device()

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..relex import LexBaseline
 from .lexer import C_KEYWORDS, CLexError, CToken, CTokenKind, tokenize_c
 
 _TYPE_KEYWORDS = frozenset({
@@ -62,6 +63,8 @@ class CheckResult:
     #: Names of functions the fragment defines or prototypes — the link
     #: surface the surrounding driver refers to.
     defined_functions: set[str] = field(default_factory=set)
+    #: The fragment's tokens, for checks layered on top of this one.
+    tokens: list[CToken] = field(default_factory=list)
 
     @property
     def errors(self) -> list[CDiagnostic]:
@@ -81,8 +84,8 @@ class CheckResult:
 
 def check_c(source: str,
             externals: dict[str, int | None] | None = None,
-            constants: frozenset[str] | set[str] | None = None
-            ) -> CheckResult:
+            constants: frozenset[str] | set[str] | None = None,
+            base: LexBaseline | None = None) -> CheckResult:
     """Check one C fragment.
 
     ``externals`` maps pre-declared function names to their arity (or
@@ -92,11 +95,13 @@ def check_c(source: str,
     generated header).  Raises :class:`CParseError` /
     :class:`~.lexer.CLexError` when the fragment is not syntactically
     valid (mutants that do not parse are excluded from the analysis,
-    per the paper's rules).
+    per the paper's rules).  ``base`` is a lexing baseline for
+    :func:`~.lexer.tokenize_c`.
     """
-    tokens = tokenize_c(source)
+    tokens = tokenize_c(source, base=base)
     checker = _Checker(tokens, externals or {}, constants or set())
     checker.run()
+    checker.result.tokens = tokens
     return checker.result
 
 

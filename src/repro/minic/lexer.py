@@ -15,6 +15,8 @@ import enum
 import re
 from dataclasses import dataclass
 
+from ..relex import LexBaseline
+
 
 class CTokenKind(enum.Enum):
     IDENT = "identifier"
@@ -80,6 +82,11 @@ _TOKEN = re.compile(
     r"|(?P<eof>\Z)"
     r"|(?P<other>.))", re.DOTALL)
 _NUMBER_TAIL = re.compile(r"[\w.]*")
+#: How far past its end a match of :data:`_TOKEN` can read: a ``.`` is
+#: matched only after ``...`` fails, which looks at two more characters.
+#: The edited source is re-scanned from the match that could have seen
+#: the first change.
+_LOOKAHEAD = 2
 
 _KINDS = {
     "ident": CTokenKind.IDENT, "punct": CTokenKind.PUNCT,
@@ -89,11 +96,29 @@ _KINDS = {
 }
 
 
-def tokenize_c(source: str) -> list[CToken]:
-    """Tokenize ``source``; raises :class:`CLexError` on bad input."""
+def tokenize_c(source: str, base: LexBaseline | None = None
+               ) -> list[CToken]:
+    """Tokenize ``source``; raises :class:`CLexError` on bad input.
+
+    ``base``, a :func:`c_baseline` of a related source, makes the call
+    re-scan only the window around the edit (see :mod:`repro.relex`);
+    the result is exactly the plain lex's, and tokens whose offset and
+    line do not move are the baseline's own objects.
+    """
     tokens: list[CToken] = []
-    line = 1
-    for found in _TOKEN.finditer(source):
+    line, resume_at = 1, 0
+    # With no baseline no match reaches ``limit``: the plain lex.
+    delta, limit = 0, len(source) + 1
+    if base is not None:
+        window = base.window(source, _LOOKAHEAD)
+        if window is None:
+            return list(base.tokens)
+        resume, delta, limit = window
+        tokens.extend(base.tokens[:resume])
+        if resume:
+            line = base.tokens[resume - 1].line
+        resume_at = base.starts[resume]
+    for found in _TOKEN.finditer(source, resume_at):
         group = found.lastgroup
         start, end = found.span(group)
         line += source.count("\n", found.start(), start)
@@ -103,15 +128,40 @@ def tokenize_c(source: str) -> list[CToken]:
             if group == "eof":
                 break
             tokens.append(_odd_token(source, start, end, line))
-            continue
-        if kind is CTokenKind.NUMBER:
-            _validate_number(text, line)
-        elif kind is CTokenKind.DIRECTIVE:
-            # The token's line is the last one a \-newline splice reaches.
-            line += text.count("\n")
-        tokens.append(CToken(kind, text, start, line))
+        else:
+            if kind is CTokenKind.NUMBER:
+                _validate_number(text, line)
+            elif kind is CTokenKind.DIRECTIVE:
+                # The token's line is the last one a \-newline splice
+                # reaches.
+                line += text.count("\n")
+            tokens.append(CToken(kind, text, start, line))
+        if end >= limit:
+            index = base.tail_index(end, delta)
+            if index >= 0:
+                tail = base.tokens[index:]
+                line_shift = line - (base.tokens[index - 1].line
+                                     if index else 1)
+                if delta or line_shift:
+                    tail = [CToken(token.kind, token.text,
+                                   token.offset + delta,
+                                   token.line + line_shift)
+                            for token in tail]
+                tokens.extend(tail)
+                return tokens
     tokens.append(CToken(CTokenKind.EOF, "", len(source), line))
     return tokens
+
+
+def c_baseline(source: str) -> LexBaseline:
+    """The re-lexing baseline of ``source`` (see :func:`tokenize_c`).
+
+    Raises :class:`CLexError` if ``source`` does not lex.
+    """
+    tokens = tokenize_c(source)
+    return LexBaseline.from_ends(
+        source, tokens,
+        (token.offset + len(token.text) for token in tokens[:-1]))
 
 
 def _odd_token(source: str, start: int, end: int, line: int) -> CToken:

@@ -49,6 +49,14 @@ class MutantCaps:
     operator: int | None = None
     bitpattern: int | None = None
 
+    def __post_init__(self):
+        for kind in ("ident", "number", "operator", "bitpattern"):
+            cap = getattr(self, kind)
+            if cap is not None and cap < 1:
+                raise ValueError(
+                    f"{kind} mutant budget must be positive or None "
+                    f"(got {cap})")
+
     def for_kind(self, kind: str) -> int | None:
         return getattr(self, kind)
 

@@ -24,8 +24,9 @@ devices.  :func:`run_campaign` scales it into a scheduled workload:
    because each unit's verdict is a pure function of its key, every
    backend produces byte-identical reports.
 5. **Aggregation** — workers publish verdicts through the cache (the
-   result transport); the parent reads them back after ``drain`` and
-   folds them into a :class:`~.report.CampaignReport` with
+   result transport); the parent reads them back after ``drain`` (a
+   serial run keeps the records it published instead) and folds them
+   into a :class:`~.report.CampaignReport` with
    per-device/per-language/per-rule breakdowns plus the paper's
    Table 1 rows as a projection.
 
@@ -187,7 +188,8 @@ def generate_units(config: CampaignConfig) -> list[CampaignUnit]:
 
 
 def evaluate_unit(token: dict, cache_root: str) -> dict:
-    """Evaluate one unit and publish its verdict record to the cache.
+    """Evaluate one unit, publish its verdict record to the cache and
+    return the published record.
 
     Pure with respect to scheduling: the record depends only on the
     unit, never on which worker ran it or in what order.
@@ -215,8 +217,7 @@ def evaluate_unit(token: dict, cache_root: str) -> dict:
         "undetected": outcome.undetected,
         "survivors": list(outcome.survivors),
     }
-    VerdictCache(cache_root).put(unit.key, record)
-    return record
+    return VerdictCache(cache_root).put(unit.key, record)
 
 
 def evaluate_unit_request(stubs, aux, *, token, cache_root):
@@ -265,11 +266,15 @@ class CampaignResult:
                 "workers": self.config.workers}
 
 
-def _run_units_serial(pending, cache_root, progress) -> None:
+def _run_units_serial(pending, cache_root, progress) -> dict[str, dict]:
+    """Evaluate ``pending`` in order; returns the published records
+    by unit key."""
+    records = {}
     for index, unit in enumerate(pending):
-        evaluate_unit(unit.token(), cache_root)
+        records[unit.key] = evaluate_unit(unit.token(), cache_root)
         if progress is not None and (index + 1) % 25 == 0:
             progress(f"evaluated {index + 1}/{len(pending)} units")
+    return records
 
 
 #: Units submitted per worker between drains.  Waves bound how much
@@ -368,7 +373,8 @@ def run_campaign(config: CampaignConfig,
         placement: dict = {}
         if pending:
             if config.backend == "serial":
-                _run_units_serial(pending, str(cache.root), progress)
+                records.update(_run_units_serial(
+                    pending, str(cache.root), progress))
             else:
                 placement = _run_units_fleet(
                     config, pending, str(cache.root), telemetry,
@@ -379,6 +385,8 @@ def run_campaign(config: CampaignConfig,
         # the parent — determinism is unaffected, verdicts are pure.
         salvaged = 0
         for unit in pending:
+            if unit.key in records:
+                continue
             record = cache.get(unit.key)
             if record is None:
                 record = evaluate_unit(unit.token(), str(cache.root))

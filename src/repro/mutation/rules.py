@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterator
 
 #: Token-class alphabets for insert/replace edits.
 DIGITS = "0123456789"
@@ -80,52 +79,63 @@ def alphabet_for(site: MutationSite) -> str:
     raise ValueError(f"unknown site kind {site.kind!r}")
 
 
-def _all_edits(site: MutationSite) -> Iterator[Mutant]:
-    """Every removal, insertion and replacement, in a stable order."""
+def _population(site: MutationSite) -> dict[str, int]:
+    """Every distinct mutated token, in the order its first edit comes
+    in the stable edit order (removals, then insertions, then
+    replacements, each by position and then alphabet), mapped to that
+    edit's character index.  The index and the two texts determine the
+    edit (see :func:`_describe`), so no edit object is built here."""
     text = site.text
     alphabet = alphabet_for(site)
     # Number tokens keep their radix prefix intact: mutating '0x' into
     # 'ax' is a lexical error, not a typo class the paper studies.
     protected = 2 if (site.kind == "number"
                       and text.lower().startswith("0x")) else 0
-    for index in range(protected, len(text)):
-        if len(text) > max(1, protected):
-            removed = text[:index] + text[index + 1:]
-            if removed != text:
-                yield Mutant(site, removed,
-                             f"remove {text[index]!r} at {index}")
+    first: dict[str, int] = {}
+    record = first.setdefault
+    if len(text) > max(1, protected):
+        for index in range(protected, len(text)):
+            record(text[:index] + text[index + 1:], index)
     for index in range(protected, len(text) + 1):
+        head, tail = text[:index], text[index:]
         for char in alphabet:
-            inserted = text[:index] + char + text[index:]
-            yield Mutant(site, inserted, f"insert {char!r} at {index}")
+            record(head + char + tail, index)
     for index in range(protected, len(text)):
+        head, old, tail = text[:index], text[index], text[index + 1:]
         for char in alphabet:
-            if char == text[index]:
-                continue
-            replaced = text[:index] + char + text[index + 1:]
-            yield Mutant(site, replaced, f"replace {text[index]!r} with "
-                                         f"{char!r} at {index}")
+            if char != old:
+                record(head + char + tail, index)
+    return first
+
+
+def _describe(text: str, mutated: str, index: int) -> str:
+    """The description of the edit at ``index`` turning ``text`` into
+    ``mutated``."""
+    if len(mutated) < len(text):
+        return f"remove {text[index]!r} at {index}"
+    if len(mutated) > len(text):
+        return f"insert {mutated[index]!r} at {index}"
+    return f"replace {text[index]!r} with {mutated[index]!r} at {index}"
 
 
 def mutants_for_site(site: MutationSite,
                      max_mutants: int | None = None) -> list[Mutant]:
     """The mutant population of ``site``.
 
-    When ``max_mutants`` is given, a deterministic site-seeded sample of
-    that size is drawn (stratified over the full edit enumeration), so
-    partial runs measure the same population every time.
+    Distinct mutated tokens only (different edits can collide; the
+    first edit names the mutant).  When ``max_mutants`` is given, a
+    deterministic site-seeded sample of that size is drawn (stratified
+    over the full edit enumeration), so partial runs measure the same
+    population every time.
     """
-    all_mutants = list(_all_edits(site))
-    # Distinct mutated tokens only (different edits can collide).
-    unique: dict[str, Mutant] = {}
-    for mutant in all_mutants:
-        unique.setdefault(mutant.mutated_token, mutant)
-    population = list(unique.values())
-    if max_mutants is None or len(population) <= max_mutants:
-        return population
-    seed = int.from_bytes(
-        hashlib.sha256(site.key().encode()).digest()[:8], "big")
-    stride = max(1, len(population) // max_mutants)
-    start = seed % stride
-    sample = population[start::stride][:max_mutants]
-    return sample
+    population = _population(site)
+    chosen = list(population)
+    if max_mutants is not None and len(chosen) > max_mutants:
+        seed = int.from_bytes(
+            hashlib.sha256(site.key().encode()).digest()[:8], "big")
+        stride = max(1, len(chosen) // max_mutants)
+        chosen = chosen[seed % stride::stride][:max_mutants]
+    text = site.text
+    return [Mutant(site, mutated,
+                   _describe(text, mutated, population[mutated]))
+            for mutated in chosen]

@@ -34,8 +34,8 @@ from typing import Callable
 
 from ..devil.compiler import compile_spec
 from ..devil.errors import DevilCheckError, DevilLexError, DevilParseError
-from ..devil.lexer import Lexer as DevilLexer
 from ..devil.lexer import TokenKind as DevilTokenKind
+from ..devil.lexer import devil_baseline
 from ..devil.model import ResolvedDevice
 from ..devil.types import EnumType
 from ..minic import (
@@ -46,7 +46,8 @@ from ..minic import (
     kernel_externals,
     tokenize_c,
 )
-from ..minic.lexer import C_KEYWORDS, number_value
+from ..minic.lexer import C_KEYWORDS, c_baseline, number_value
+from ..relex import LexBaseline
 from .corpus import mutation_regions
 from .rules import MutationSite
 
@@ -116,7 +117,8 @@ def _token_number_value(text: str) -> int | float:
 # ---------------------------------------------------------------------------
 
 
-def _c_sites(source: str) -> list[MutationSite]:
+def _c_sites(base: LexBaseline) -> list[MutationSite]:
+    source = base.source
     regions = mutation_regions(source) or [(0, len(source))]
     sites: list[MutationSite] = []
 
@@ -133,7 +135,7 @@ def _c_sites(source: str) -> list[MutationSite]:
                 token.text in _C_MUTABLE_OPERATORS:
             add("operator", token.text, offset, line)
 
-    for token in tokenize_c(source):
+    for token in base.tokens:
         if not any(start <= token.offset < end for start, end in regions):
             continue
         if token.kind is CTokenKind.DIRECTIVE and \
@@ -150,22 +152,29 @@ def _c_sites(source: str) -> list[MutationSite]:
     return sites
 
 
-def _make_c_classifier(baseline_source: str,
+def _make_c_classifier(base: LexBaseline,
                        externals: dict[str, int | None],
                        constants: set[str],
-                       warnings_detect: bool) -> Callable[[str], str]:
-    baseline = check_c(baseline_source, externals, constants)
+                       warnings_detect: bool,
+                       tokens_ok: Callable[[list], bool] | None = None
+                       ) -> Callable[[str], str]:
+    """The C-compiler verdict on edits of ``base.source``;
+    ``tokens_ok``, when given, is one more compile-time check run on
+    the token list of a fragment the compiler accepts."""
+    baseline = check_c(base.source, externals, constants, base=base)
     baseline_interface = frozenset(baseline.defined_functions)
 
     def classify(source: str) -> str:
         try:
-            result = check_c(source, externals, constants)
+            result = check_c(source, externals, constants, base=base)
         except (CLexError, CParseError):
             return INVALID
         if result.detected(warnings_detect):
             return DETECTED
         if frozenset(result.defined_functions) != baseline_interface:
             return DETECTED  # renamed entry point: caught at link time
+        if tokens_ok is not None and not tokens_ok(result.tokens):
+            return DETECTED
         return UNDETECTED
 
     return classify
@@ -176,8 +185,9 @@ def c_target(name: str, source: str,
              warnings_detect: bool = True) -> LanguageTarget:
     """A hand-written C driver fragment, checked the way gcc would."""
     resolved = externals if externals is not None else kernel_externals()
-    classify = _make_c_classifier(source, resolved, set(), warnings_detect)
-    return LanguageTarget(name, "C", source, _c_sites(source), classify)
+    base = c_baseline(source)
+    classify = _make_c_classifier(base, resolved, set(), warnings_detect)
+    return LanguageTarget(name, "C", source, _c_sites(base), classify)
 
 
 def stub_externals(model: ResolvedDevice,
@@ -271,14 +281,14 @@ def _value_legal(value: int, legal: ArgumentRange) -> bool:
     return minimum <= value <= maximum
 
 
-def _constant_args_ok(source: str,
+def _constant_args_ok(tokens: list,
                       ranges: dict[str, list[ArgumentRange]]) -> bool:
     """Compile-time range check of constant stub arguments.
 
-    Scans calls of known set-stubs; any argument that is a single
-    integer literal is validated against the variable's Devil type.
+    Scans ``tokens`` for calls of known set-stubs; any argument that is
+    a single integer literal is validated against the variable's Devil
+    type.
     """
-    tokens = tokenize_c(source)
     for index, token in enumerate(tokens):
         if token.kind is not CTokenKind.IDENT or token.text not in ranges:
             continue
@@ -353,18 +363,11 @@ def cdevil_target(name: str, source: str,
         externals.update(stub_funcs)
         constants.update(stub_consts)
         ranges.update(stub_argument_ranges(model, prefix))
-    c_classify = _make_c_classifier(source, externals, constants,
-                                    warnings_detect)
-
-    def classify(mutated: str) -> str:
-        verdict = c_classify(mutated)
-        if verdict != UNDETECTED:
-            return verdict
-        if not _constant_args_ok(mutated, ranges):
-            return DETECTED
-        return UNDETECTED
-
-    return LanguageTarget(name, "CDevil", source, _c_sites(source),
+    base = c_baseline(source)
+    classify = _make_c_classifier(
+        base, externals, constants, warnings_detect,
+        lambda tokens: _constant_args_ok(tokens, ranges))
+    return LanguageTarget(name, "CDevil", source, _c_sites(base),
                           classify)
 
 
@@ -373,15 +376,14 @@ def cdevil_target(name: str, source: str,
 # ---------------------------------------------------------------------------
 
 
-def _devil_sites(source: str) -> list[MutationSite]:
+def _devil_sites(base: LexBaseline) -> list[MutationSite]:
     sites: list[MutationSite] = []
-    lexer = DevilLexer(source)
     # The Devil lexer reports line/column; re-derive character offsets
     # by scanning line starts once.
     line_offsets = [0]
-    for line in source.splitlines(keepends=True):
+    for line in base.source.splitlines(keepends=True):
         line_offsets.append(line_offsets[-1] + len(line))
-    for token in lexer.tokens():
+    for token in base.tokens:
         if token.kind is DevilTokenKind.EOF:
             break
         offset = line_offsets[token.location.line - 1] + \
@@ -413,11 +415,13 @@ def devil_interface(model: ResolvedDevice,
 
 def devil_target(name: str, source: str) -> LanguageTarget:
     """A Devil specification, checked by this repository's compiler."""
-    baseline_interface = devil_interface(compile_spec(source).model)
+    base = devil_baseline(source)
+    baseline_interface = devil_interface(
+        compile_spec(source, base=base).model)
 
     def classify(mutated: str) -> str:
         try:
-            spec = compile_spec(mutated)
+            spec = compile_spec(mutated, base=base)
         except (DevilLexError, DevilParseError):
             return INVALID
         except DevilCheckError:
@@ -428,5 +432,5 @@ def devil_target(name: str, source: str) -> LanguageTarget:
             return DETECTED
         return UNDETECTED
 
-    return LanguageTarget(name, "Devil", source, _devil_sites(source),
+    return LanguageTarget(name, "Devil", source, _devil_sites(base),
                           classify)

@@ -13,12 +13,12 @@ serves the rest from disk.
 
 The cache is also the campaign's *result transport*: fleet workers
 (threads or processes) write verdicts here as they evaluate, and the
-parent reads them back after ``drain``.  Writes are atomic
-(``os.replace`` of a same-directory temp file) and serialized per key
-by an ``fcntl.flock`` where the platform has one; records are
-idempotent (a unit's verdict is a pure function of its key), so
-concurrent writers of the same key publish identical bytes and
-last-writer-wins is exact.
+parent reads them back after ``drain``.  Writes take no lock: each
+writer fills its own same-directory temp file and publishes it with
+one ``os.replace``, so a reader sees either no entry or a whole one.
+Records are idempotent (a unit's verdict is a pure function of its
+key), so concurrent writers of the same key publish identical bytes
+and whichever ``os.replace`` lands last is exact.
 
 Corrupt entries — truncated JSON, garbled payloads, schema or key
 mismatches — are treated as misses and counted in
@@ -32,11 +32,6 @@ import json
 import os
 import tempfile
 from pathlib import Path
-
-try:
-    import fcntl
-except ImportError:                     # non-POSIX: atomic publish only
-    fcntl = None
 
 #: Environment override for the cache directory (CI points this at a
 #: directory restored across runs).
@@ -144,13 +139,17 @@ class VerdictCache:
 
     # -- write ----------------------------------------------------------
 
-    def put(self, key: str, record: dict) -> None:
-        """Publish ``record`` under ``key`` (atomic, flock-serialized).
+    def put(self, key: str, record: dict) -> dict:
+        """Publish ``record`` under ``key``; returns the published
+        record (``record`` plus its ``schema`` and ``key`` fields),
+        equal to what :meth:`get` reads back.
 
-        N workers publishing the same key serialize their (identical)
-        writes under the flock; the
-        same-directory temp file + ``os.replace`` keeps publication
-        atomic even where flock does not reach (cross-host caches).
+        Lock-free and atomic: the payload goes to a fresh temp file in
+        the entry's directory, which one ``os.replace`` renames over
+        the entry.  Every writer of a key writes the same bytes (the
+        verdict is a pure function of the key), so N racing writers,
+        in threads or processes, leave exactly one valid entry and no
+        temp file.
         """
         record = dict(record)
         record["schema"] = SCHEMA_VERSION
@@ -158,34 +157,20 @@ class VerdictCache:
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = json.dumps(record, sort_keys=True) + "\n"
-        lock_path = path.with_suffix(".lock")
-        lock_handle = None
-        if fcntl is not None:
-            lock_handle = open(lock_path, "w")
-            fcntl.flock(lock_handle, fcntl.LOCK_EX)
+        descriptor, temp_name = tempfile.mkstemp(
+            dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp")
         try:
-            descriptor, temp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp")
+            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+            os.replace(temp_name, path)
+        except BaseException:
             try:
-                with os.fdopen(descriptor, "w", encoding="utf-8") \
-                        as handle:
-                    handle.write(payload)
-                os.replace(temp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(temp_name)
-                except OSError:
-                    pass
-                raise
-        finally:
-            if lock_handle is not None:
-                fcntl.flock(lock_handle, fcntl.LOCK_UN)
-                lock_handle.close()
-                try:
-                    os.unlink(lock_path)
-                except OSError:
-                    pass
+                os.unlink(temp_name)
+            except OSError:
+                pass
+            raise
         self.writes += 1
+        return record
 
     # -- maintenance ----------------------------------------------------
 

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import multiprocessing
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -102,6 +104,80 @@ def test_vcache_rejects_key_and_arithmetic_mismatches(tmp_path):
     cache.put(key, bad)
     assert cache.get(key) is None
     assert cache.corrupt >= 2
+
+
+def test_vcache_put_returns_the_record_get_reads(tmp_path):
+    cache = VerdictCache(tmp_path)
+    key = "ab" + "5" * 62
+    published = cache.put(key, _record(key))
+    assert published == cache.get(key)
+    assert published["schema"] == 1 and published["key"] == key
+
+
+def _put_repeatedly(root: str, key: str, barrier, rounds: int,
+                    errors=None) -> None:
+    try:
+        cache = VerdictCache(root)
+        barrier.wait()
+        for _ in range(rounds):
+            cache.put(key, _record(key))
+    except BaseException as error:      # reported by the test thread
+        if errors is None:
+            raise
+        errors.append(error)
+
+
+@pytest.mark.concurrency
+def test_vcache_concurrent_puts_of_one_key(tmp_path):
+    """8 threads and 4 processes racing to publish one key leave
+    exactly one valid record, and no lock or temp files."""
+    key = "9a" + "4" * 62
+    context = multiprocessing.get_context("spawn")
+    process_barrier = context.Barrier(5)
+    processes = [context.Process(
+        target=_put_repeatedly,
+        args=(str(tmp_path), key, process_barrier, 50))
+        for _ in range(4)]
+    for process in processes:
+        process.start()
+    errors: list = []
+    thread_barrier = threading.Barrier(8)
+    threads = [threading.Thread(
+        target=_put_repeatedly,
+        args=(str(tmp_path), key, thread_barrier, 50, errors))
+        for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # The threads start once every process has imported and waits.
+        process_barrier.wait(timeout=60)
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    for process in processes:
+        process.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert [process.exitcode for process in processes] == [0] * 4
+    cache = VerdictCache(tmp_path)
+    assert cache.get(key) == _record(key) | {"schema": 1, "key": key}
+    files = [path for path in tmp_path.rglob("*") if path.is_file()]
+    assert files == [cache.path_for(key)]
+
+
+def test_serial_campaign_keeps_its_records(tmp_path):
+    """A cold serial run folds the records it published, reading
+    none back: one probe per unit and no hits."""
+    cache = VerdictCache(tmp_path)
+    result = run_campaign(CampaignConfig(**TINY), cache=cache)
+    assert (cache.hits, cache.misses) == (0, result.units)
+    assert len(list(tmp_path.rglob("*.json"))) == result.units
+    again = run_campaign(CampaignConfig(**TINY),
+                         cache=VerdictCache(tmp_path))
+    assert again.report.to_json() == result.report.to_json()
 
 
 def test_campaign_recovers_from_cache_corruption(tmp_path):
@@ -278,6 +354,17 @@ def test_campaign_config_validation():
         generate_units(CampaignConfig(specs=("nosuch",)))
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_mutant_caps_reject_non_positive_budgets(budget):
+    message = rf"must be positive or None \(got {budget}\)"
+    with pytest.raises(ValueError, match=message):
+        MutantCaps.quick(budget)
+    with pytest.raises(ValueError, match="ident mutant budget"):
+        MutantCaps(ident=budget)
+    with pytest.raises(ValueError, match="bitpattern mutant budget"):
+        MutantCaps(bitpattern=budget)
+
+
 def test_unit_generation_is_deterministic():
     config = CampaignConfig(**TINY)
     assert generate_units(config) == generate_units(config)
@@ -391,6 +478,18 @@ def test_cli_campaign_rejects_bad_scope(capsys):
 
     assert main(["campaign", "--specs", "nosuch", "--no-cache"]) == 1
     assert "unknown specs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_cli_campaign_rejects_non_positive_budget(budget, capsys):
+    from repro.devil.cli import main
+
+    assert main(["campaign", "--specs", "busmouse", "--budget", budget,
+                 "--no-cache"]) == 1
+    err = capsys.readouterr().err
+    assert f"mutant budget must be positive or None (got {budget})" \
+        in err
+    assert "Traceback" not in err
 
 
 def test_cli_campaign_projection_matches_library(tmp_path, capsys):

@@ -82,9 +82,8 @@ SOURCES = ([("devil", source) for source in DEVIL_SOURCES]
            + [("c", source) for source in C_SOURCES])
 
 
-@st.composite
-def edited_sources(draw):
-    language, source = draw(st.sampled_from(SOURCES))
+def draw_edits(draw, source: str) -> str:
+    """``source`` after one to three drawn one-character edits."""
     for _ in range(draw(st.integers(1, 3))):
         operation = draw(st.sampled_from(["insert", "delete", "replace"]))
         index = draw(st.integers(0, len(source)))
@@ -95,7 +94,13 @@ def edited_sources(draw):
             source = source[:index] + source[index + 1:]
         else:
             source = source[:index] + char + source[index + 1:]
-    return language, source
+    return source
+
+
+@st.composite
+def edited_sources(draw):
+    language, source = draw(st.sampled_from(SOURCES))
+    return language, draw_edits(draw, source)
 
 
 @settings(max_examples=500, deadline=None)
