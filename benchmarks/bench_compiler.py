@@ -20,7 +20,3 @@ def test_emit_c_busmouse(benchmark):
     spec = compile_spec(load_source("busmouse"))
     benchmark(spec.emit_c)
 
-
-def test_emit_python_ne2000(benchmark):
-    spec = compile_spec(load_source("ne2000"))
-    benchmark(spec.emit_python)

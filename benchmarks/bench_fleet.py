@@ -144,7 +144,7 @@ def render(rows, accounting, strategy, schedule_len, latency_us,
 def stress_leg(iterations: int) -> None:
     """The ISSUE acceptance stress: 8 threads against one device."""
     schedule = [("ide", ide_sector_read)] * 16
-    for strategy in ("interpret", "specialize", "generated"):
+    for strategy in ("interpret", "specialize"):
         reference = None
         for _ in range(iterations):
             reference = run_stress(["ide"], schedule, workers=8,
@@ -160,7 +160,7 @@ def main(argv=None) -> int:
     parser.add_argument("--requests", type=int, default=None,
                         help="requests per spec in the mixed schedule")
     parser.add_argument("--strategy", default="specialize",
-                        choices=("interpret", "specialize", "generated"))
+                        choices=("interpret", "specialize"))
     parser.add_argument("--backend", default="thread",
                         choices=("thread", "process"),
                         help="fleet backend; the speedup floor applies "

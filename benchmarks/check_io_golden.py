@@ -5,7 +5,7 @@ Every shipped workload (and its transactional variant) has a golden
 port-I/O profile checked in under ``results/io_golden.json``: total
 operations, reads, writes, block transfers, elided reads and coalesced
 writes, with the shadow cache off and on.  The gate recomputes the
-profile under **all three** execution strategies, fails if the
+profile under **both** execution strategies, fails if the
 strategies disagree with each other (the parity invariant) and fails
 if any count drifts from the golden file — a one-operation regression
 in any stub is a CI failure, exactly like a perf budget.

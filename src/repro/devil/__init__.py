@@ -3,10 +3,10 @@
 Pipeline: source text -> :mod:`~repro.devil.lexer` ->
 :mod:`~repro.devil.parser` (AST in :mod:`~repro.devil.ast`) ->
 :mod:`~repro.devil.checker` (the §3.1 verification rules, producing the
-resolved :mod:`~repro.devil.model`) -> backends
-(:mod:`~repro.devil.codegen.c_backend`,
-:mod:`~repro.devil.codegen.py_backend`) or the interpreting stub
-runtime (:mod:`~repro.devil.runtime`).
+resolved :mod:`~repro.devil.model`) -> the C header backend
+(:mod:`~repro.devil.codegen.c_backend`) or executable stubs: the
+interpreting runtime (:mod:`~repro.devil.runtime`) and the bind-time
+specializer (:mod:`~repro.devil.specialize`).
 """
 
 from .compiler import CompiledSpec, compile_file, compile_spec

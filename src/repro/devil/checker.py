@@ -120,7 +120,7 @@ class Checker:
         self._check_omissions()
         self.sink.raise_if_errors()
         # Attach the static access plan (register volatility
-        # classification) to the verified model; all three execution
+        # classification) to the verified model; both execution
         # strategies read it from here, so elision decisions are made
         # once, at compile time.
         from .plan import compute_access_plan

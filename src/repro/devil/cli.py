@@ -4,7 +4,6 @@ Usage::
 
     devilc check  SPEC.devil             verify only, report diagnostics
     devilc c      SPEC.devil [-o OUT]    emit the C stub header
-    devilc python SPEC.devil [-o OUT]    emit the Python stub module
     devilc compile SPEC.devil --backend c --debug -o FILE
                                          emit any backend to disk
     devilc dump   SPEC.devil             print the resolved model
@@ -84,12 +83,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (
             ("check", "verify a specification"),
             ("c", "emit the C stub header"),
-            ("python", "emit the Python stub module"),
             ("doc", "emit a Markdown datasheet"),
             ("dump", "print the resolved model")):
         sub = commands.add_parser(name, help=help_text)
         sub.add_argument("spec", help="path to the .devil source")
-        if name in ("c", "python", "doc"):
+        if name in ("c", "doc"):
             sub.add_argument("-o", "--output",
                              help="output file (default: stdout)")
         if name == "c":
@@ -104,11 +102,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit a code-generation backend, selected by --backend")
     compile_cmd.add_argument("spec", help="path to the .devil source")
     compile_cmd.add_argument("--backend", default="c",
-                             choices=("c", "python", "doc", "pyi"),
+                             choices=("c", "doc", "pyi"),
                              help="artifact to emit: C stub header "
-                                  "(default), Python stub module, "
-                                  "Markdown datasheet, or .pyi typing "
-                                  "stubs for bound device APIs")
+                                  "(default), Markdown datasheet, or "
+                                  ".pyi typing stubs for bound device "
+                                  "APIs")
     compile_cmd.add_argument("-o", "--output",
                              help="output file (default: stdout)")
     compile_cmd.add_argument("--prefix",
@@ -123,8 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("spec", metavar="NAME",
                        help="shipped spec name (e.g. busmouse, ide)")
     trace.add_argument("--strategy", default="interpret",
-                       choices=("interpret", "specialize", "generated",
-                                "all"),
+                       choices=("interpret", "specialize", "all"),
                        help="execution strategy to trace (default: "
                             "interpret; 'all' runs every strategy "
                             "back-to-back)")
@@ -178,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "the process backend needs a "
                             "deterministic one)")
     fleet.add_argument("--strategy", default="specialize",
-                       choices=("interpret", "specialize", "generated"),
+                       choices=("interpret", "specialize"),
                        help="execution strategy (default: specialize)")
     fleet.add_argument("--latency-us", type=float, default=20.0,
                        help="sleeping port latency charged per bus op "
@@ -219,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "least-loaded"),
                      help="dispatch policy (default: round-robin)")
     top.add_argument("--strategy", default="specialize",
-                     choices=("interpret", "specialize", "generated"),
+                     choices=("interpret", "specialize"),
                      help="execution strategy (default: specialize)")
     top.add_argument("--latency-us", type=float, default=20.0,
                      help="sleeping port latency per bus op "
@@ -338,8 +335,6 @@ def _run(arguments) -> int:
         if backend == "c":
             text = spec.emit_c(prefix=arguments.prefix,
                                debug=arguments.debug)
-        elif backend == "python":
-            text = spec.emit_python()
         elif backend == "pyi":
             from .codegen.pyi_backend import generate_pyi
             text = generate_pyi(spec.model)
@@ -348,10 +343,8 @@ def _run(arguments) -> int:
     elif arguments.command == "c":
         text = spec.emit_c(prefix=arguments.prefix,
                            debug=arguments.debug)
-    elif arguments.command == "doc":
+    else:  # doc
         text = spec.emit_doc()
-    else:
-        text = spec.emit_python()
     if getattr(arguments, "output", None):
         with open(arguments.output, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -44,6 +44,7 @@ from ..model import (
     ResolvedVariable,
     VarRef,
     Wildcard,
+    stub_catalog,
 )
 from ..types import BoolType, EnumType, IntSetType, IntType
 
@@ -246,18 +247,18 @@ class _CWriter:
         for variable in self.device.variables.values():
             name = variable.name
             c_type = self._c_type(variable)
-            if variable.memory or self._readable(variable):
+            if self.device.readable(variable):
                 self._w(f"static inline {c_type} {p}__get_{name}"
                         f"({p}_state_t *d);")
-            if variable.memory or self._writable(variable):
+            if self.device.writable(variable):
                 self._w(f"static inline void {p}__set_{name}"
                         f"({p}_state_t *d, {c_type} value);")
         for structure_name, structure in self.device.structures.items():
             members = [self.device.variables[m] for m in structure.members]
-            if all(self._readable(m) for m in members):
+            if self.device.structure_readable(structure_name):
                 self._w(f"static inline void {p}__get_{structure_name}"
                         f"({p}_state_t *d);")
-            if all(self._writable(m) for m in members):
+            if self.device.structure_writable(structure_name):
                 params = ", ".join(
                     f"{self._c_type(m)} {m.name}" for m in members)
                 self._w(f"static inline void {p}__set_{structure_name}"
@@ -453,16 +454,6 @@ class _CWriter:
 
     # -- variable accessors ----------------------------------------------
 
-    def _readable(self, variable: ResolvedVariable) -> bool:
-        return variable.memory or all(
-            self.device.registers[c.register].readable
-            for c in variable.chunks)
-
-    def _writable(self, variable: ResolvedVariable) -> bool:
-        return variable.memory or all(
-            self.device.registers[c.register].writable
-            for c in variable.chunks)
-
     def _emit_memory_accessors(self, variable: ResolvedVariable) -> None:
         p = self.prefix
         name = variable.name
@@ -526,7 +517,7 @@ class _CWriter:
         p = self.prefix
         name = variable.name
         c_type = self._c_type(variable)
-        if getter and self._readable(variable):
+        if getter and self.device.readable(variable):
             self._w(f"static inline {c_type} {p}__get_{name}"
                     f"({p}_state_t *d)")
             self._w("{")
@@ -540,7 +531,7 @@ class _CWriter:
             self._w(f"    return {self._decode_expr(variable, raw)};")
             self._w("}")
             self._w()
-        if self._writable(variable):
+        if self.device.writable(variable):
             self._w(f"static inline void {p}__set_{name}"
                     f"({p}_state_t *d, {c_type} value)")
             self._w("{")
@@ -576,7 +567,7 @@ class _CWriter:
         register_names = self._structure_registers(structure_name)
         registers = [self.device.registers[r] for r in register_names]
 
-        if all(self._readable(m) for m in members):
+        if self.device.structure_readable(structure_name):
             self._w(f"static inline void {p}__get_{structure_name}"
                     f"({p}_state_t *d)")
             self._w("{")
@@ -590,7 +581,7 @@ class _CWriter:
             self._w("}")
             self._w()
 
-        if all(self._writable(m) for m in members):
+        if self.device.structure_writable(structure_name):
             params = ", ".join(
                 f"{self._c_type(m)} {m.name}" for m in members)
             self._w(f"static inline void {p}__set_{structure_name}"
@@ -662,7 +653,7 @@ class _CWriter:
         """Structure members read the register caches, never the device."""
         p = self.prefix
         name = variable.name
-        if not self._readable(variable):
+        if not self.device.readable(variable):
             return
         c_type = self._c_type(variable)
         self._w(f"static inline {c_type} {p}__get_{name}"
@@ -727,36 +718,17 @@ class _CWriter:
         args = ", ".join(f"{name}_base" for name in self.device.params)
         self._w(f"#define {p}_init({args}) "
                 f"{p}__init(&{p}_devil_state, {args})")
-        for variable in self.device.variables.values():
-            name = variable.name
-            if variable.private:
-                continue
-            if self._readable(variable):
-                self._w(f"#define {p}_get_{name}() "
-                        f"{p}__get_{name}(&{p}_devil_state)")
-            if self._writable(variable):
-                self._w(f"#define {p}_set_{name}(v) "
-                        f"{p}__set_{name}(&{p}_devil_state, v)")
-            if variable.behaviors.block:
-                register = self.device.registers[
-                    variable.chunks[0].register]
-                if register.readable:
-                    self._w(f"#define {p}_read_{name}_block(buf, n) "
-                            f"{p}__read_{name}_block(&{p}_devil_state, "
-                            f"buf, n)")
-                if register.writable:
-                    self._w(f"#define {p}_write_{name}_block(buf, n) "
-                            f"{p}__write_{name}_block(&{p}_devil_state, "
-                            f"buf, n)")
-        for structure_name, structure in self.device.structures.items():
-            members = [self.device.variables[m] for m in structure.members]
-            if all(self._readable(m) for m in members):
-                self._w(f"#define {p}_get_{structure_name}() "
-                        f"{p}__get_{structure_name}(&{p}_devil_state)")
-            if all(self._writable(m) for m in members):
-                params = ", ".join(m.name for m in members)
-                self._w(f"#define {p}_set_{structure_name}({params}) "
-                        f"{p}__set_{structure_name}(&{p}_devil_state, "
-                        f"{params})")
+        state = f"&{p}_devil_state"
+        for stub, target, kind in stub_catalog(self.device):
+            if kind in ("get", "get_struct"):
+                params, call = "", state
+            elif kind == "set":
+                params, call = "v", f"{state}, v"
+            elif kind == "set_struct":
+                params = ", ".join(self.device.structures[target].members)
+                call = f"{state}, {params}"
+            else:  # block_read, block_write
+                params, call = "buf, n", f"{state}, buf, n"
+            self._w(f"#define {p}_{stub}({params}) {p}__{stub}({call})")
         self._w("#endif /* DEVIL_NO_REF */")
         self._w()

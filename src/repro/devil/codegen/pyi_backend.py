@@ -1,8 +1,8 @@
 """``.pyi`` typing-stub backend: autocomplete for bound devices.
 
-A bound device instance grows its stub surface dynamically
-(``_attach_stubs`` sets ``get_<var>``/``set_<var>``/... at bind time),
-which static type checkers and editors cannot see.  This backend emits
+A bound device instance grows its stub surface dynamically (the
+:func:`~repro.devil.model.stub_catalog` entries are attached at bind
+time), which static type checkers and editors cannot see.  This backend emits
 a PEP 561-style ``.pyi`` module per spec with a ``Protocol`` describing
 that surface — enum variables become ``Literal`` unions of their
 symbols, booleans ``bool``, integers ``int``, structures typed
@@ -17,7 +17,7 @@ fresh by ``tests/test_c_backend.py``; regenerate one with::
 
 from __future__ import annotations
 
-from ..model import ResolvedDevice, ResolvedVariable
+from ..model import ResolvedDevice, ResolvedVariable, stub_catalog
 from ..types import BoolType, EnumType
 
 
@@ -63,8 +63,6 @@ def _class_name(device_name: str) -> str:
 
 def generate_pyi(model: ResolvedDevice) -> str:
     """Emit the ``.pyi`` typing-stub module for ``model``."""
-    from ...obs.spans import stub_catalog
-
     uses_literal = False
     methods: list[str] = []
     for stub, target, kind in stub_catalog(model):

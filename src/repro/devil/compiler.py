@@ -6,7 +6,7 @@ backends.  :func:`compile_spec` runs the front end and returns a
 
 * bind executable Python stubs to a simulated bus (:meth:`CompiledSpec.bind`),
 * emit the C stub header (:meth:`CompiledSpec.emit_c`), or
-* emit a standalone Python stub module (:meth:`CompiledSpec.emit_python`).
+* emit the Markdown datasheet (:meth:`CompiledSpec.emit_doc`).
 """
 
 from __future__ import annotations
@@ -73,16 +73,6 @@ class CompiledSpec:
         """Generate the C stub header (Figure 3c's artifact)."""
         from .codegen.c_backend import generate_c_header
         return generate_c_header(self.model, prefix=prefix, debug=debug)
-
-    def emit_python(self, observe: bool = False) -> str:
-        """Generate a standalone Python stub module.
-
-        ``observe=True`` emits :mod:`repro.obs` telemetry hooks (span
-        decorators on public stubs, action-record probes); the default
-        module has no hooks and no overhead.
-        """
-        from .codegen.py_backend import generate_python_module
-        return generate_python_module(self.model, observe=observe)
 
     def emit_doc(self) -> str:
         """Generate the Markdown datasheet (§4.1: specs double as

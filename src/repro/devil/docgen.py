@@ -170,15 +170,9 @@ class _DocWriter:
             if variable.private:
                 continue
             stubs = []
-            readable = variable.memory or all(
-                self.device.registers[c.register].readable
-                for c in variable.chunks)
-            writable = variable.memory or all(
-                self.device.registers[c.register].writable
-                for c in variable.chunks)
-            if readable:
+            if self.device.readable(variable):
                 stubs.append(f"`get_{variable.name}`")
-            if writable:
+            if self.device.writable(variable):
                 stubs.append(f"`set_{variable.name}`")
             if variable.behaviors.block:
                 stubs.append(f"`*_{variable.name}_block`")

@@ -345,6 +345,31 @@ class ResolvedDevice:
         """The functional interface: everything not ``private``."""
         return [v for v in self.variables.values() if not v.private]
 
+    # -- the stub-surface rule shared by every backend -------------------
+
+    def readable(self, variable: ResolvedVariable) -> bool:
+        """Whether ``variable`` has a getter: a memory cell, or every
+        register holding one of its chunks has a read port."""
+        return variable.memory or all(
+            self.registers[c.register].readable for c in variable.chunks)
+
+    def writable(self, variable: ResolvedVariable) -> bool:
+        """Whether ``variable`` has a setter (see :meth:`readable`)."""
+        return variable.memory or all(
+            self.registers[c.register].writable for c in variable.chunks)
+
+    def structure_readable(self, name: str) -> bool:
+        """Whether structure ``name`` has a getter: every member is
+        readable."""
+        return all(self.readable(self.variables[m])
+                   for m in self.structures[name].members)
+
+    def structure_writable(self, name: str) -> bool:
+        """Whether structure ``name`` has a setter: every member is
+        writable."""
+        return all(self.writable(self.variables[m])
+                   for m in self.structures[name].members)
+
     def variables_of_register(self, register: str) -> list[ResolvedVariable]:
         """Every variable owning at least one bit of ``register``.
 
@@ -385,3 +410,36 @@ class ResolvedDevice:
         if param_name not in self.params:
             raise KeyError(f"unknown port parameter {param_name!r}")
         return offset
+
+
+def stub_catalog(model: ResolvedDevice) -> list[tuple[str, str, str]]:
+    """``(stub_name, target, kind)`` for every public stub of a model.
+
+    The one definition of a bound device's public surface: the
+    interpreter attaches exactly these stubs, the specializer returns
+    them in this order, telemetry wraps them and the ``.pyi`` backend
+    types them.  ``target`` is the variable or structure name; ``kind``
+    is one of ``get``, ``set``, ``block_read``, ``block_write``,
+    ``get_struct`` and ``set_struct``.
+    """
+    catalog: list[tuple[str, str, str]] = []
+    for variable in model.public_variables():
+        name = variable.name
+        readable = model.readable(variable)
+        writable = model.writable(variable)
+        if readable:
+            catalog.append((f"get_{name}", name, "get"))
+        if writable:
+            catalog.append((f"set_{name}", name, "set"))
+        if variable.behaviors.block:
+            if readable:
+                catalog.append((f"read_{name}_block", name, "block_read"))
+            if writable:
+                catalog.append((f"write_{name}_block", name,
+                                "block_write"))
+    for name in model.structures:
+        if model.structure_readable(name):
+            catalog.append((f"get_{name}", name, "get_struct"))
+        if model.structure_writable(name):
+            catalog.append((f"set_{name}", name, "set_struct"))
+    return catalog

@@ -51,6 +51,7 @@ from .model import (
     ResolvedVariable,
     VarRef,
     Wildcard,
+    stub_catalog,
 )
 from .plan import access_plan
 
@@ -170,50 +171,8 @@ class DeviceInstance:
     # ------------------------------------------------------------------
 
     def _attach_stubs(self) -> None:
-        for variable in self.model.public_variables():
-            name = variable.name
-            if self._variable_readable(variable):
-                setattr(self, f"get_{name}",
-                        _bind_getter(self, name))
-            if self._variable_writable(variable):
-                setattr(self, f"set_{name}",
-                        _bind_setter(self, name))
-            if variable.behaviors.block:
-                if self._variable_readable(variable):
-                    setattr(self, f"read_{name}_block",
-                            _bind_block_reader(self, name))
-                if self._variable_writable(variable):
-                    setattr(self, f"write_{name}_block",
-                            _bind_block_writer(self, name))
-        for structure in self.model.structures.values():
-            if self._structure_readable(structure.name):
-                setattr(self, f"get_{structure.name}",
-                        _bind_struct_getter(self, structure.name))
-            if self._structure_writable(structure.name):
-                setattr(self, f"set_{structure.name}",
-                        _bind_struct_setter(self, structure.name))
-
-    def _variable_readable(self, variable: ResolvedVariable) -> bool:
-        if variable.memory:
-            return True
-        return all(self.model.registers[c.register].readable
-                   for c in variable.chunks)
-
-    def _variable_writable(self, variable: ResolvedVariable) -> bool:
-        if variable.memory:
-            return True
-        return all(self.model.registers[c.register].writable
-                   for c in variable.chunks)
-
-    def _structure_readable(self, name: str) -> bool:
-        structure = self.model.structures[name]
-        return all(self._variable_readable(self.model.variables[m])
-                   for m in structure.members)
-
-    def _structure_writable(self, name: str) -> bool:
-        structure = self.model.structures[name]
-        return all(self._variable_writable(self.model.variables[m])
-                   for m in structure.members)
+        for stub, target, kind in stub_catalog(self.model):
+            setattr(self, stub, _BINDERS[kind](self, target))
 
     # ------------------------------------------------------------------
     # Port arithmetic
@@ -886,3 +845,14 @@ def _bind_block_writer(instance: DeviceInstance, name: str):
     writer.__name__ = f"write_{name}_block"
     writer.__doc__ = f"Block-write a buffer through {name!r}."
     return writer
+
+
+#: ``stub_catalog`` kind -> stub factory.
+_BINDERS = {
+    "get": _bind_getter,
+    "set": _bind_setter,
+    "block_read": _bind_block_reader,
+    "block_write": _bind_block_writer,
+    "get_struct": _bind_struct_getter,
+    "set_struct": _bind_struct_setter,
+}

@@ -4,7 +4,8 @@ The paper's headline performance claim (§4.3) is that Devil stubs have
 no execution overhead because the compiler folds masks, shifts and
 addresses into straight-line code.  :mod:`repro.devil.runtime`
 re-interprets the resolved model on every call; this module is the
-in-process analogue of :mod:`repro.devil.codegen.py_backend`: at
+repository's one compiled Python lowering, the analogue of the C
+header :mod:`repro.devil.codegen.c_backend` emits: at
 ``bind(strategy="specialize")`` time it partially evaluates the
 :class:`~repro.devil.model.ResolvedDevice` against the concrete base
 addresses and emits one Python closure per stub, with
@@ -47,6 +48,7 @@ from .model import (
     SerStep,
     VarRef,
     Wildcard,
+    stub_catalog,
 )
 from .types import BoolType, EnumType, IntSetType, IntType
 
@@ -116,8 +118,8 @@ class _Specializer:
         self._locs: dict[SourceLocation, int] = {}
         self._loc_list: list[SourceLocation] = []
         self.namespace["_locs"] = self._loc_list
-        #: Stub names the runtime attaches publicly (same rule as
-        #: DeviceInstance._attach_stubs).
+        #: The public stubs the factory returns, in
+        #: :func:`~repro.devil.model.stub_catalog` order.
         self.stub_names: list[str] = []
 
     # -- low-level emission -------------------------------------------
@@ -139,28 +141,6 @@ class _Specializer:
             self._locs[location] = index
             self._loc_list.append(location)
         return f"_locs[{index}]"
-
-    # -- shared predicates (mirror DeviceInstance) --------------------
-
-    def _readable(self, variable: ResolvedVariable) -> bool:
-        return variable.memory or all(
-            self.model.registers[c.register].readable
-            for c in variable.chunks)
-
-    def _writable(self, variable: ResolvedVariable) -> bool:
-        return variable.memory or all(
-            self.model.registers[c.register].writable
-            for c in variable.chunks)
-
-    def _structure_readable(self, name: str) -> bool:
-        structure = self.model.structures[name]
-        return all(self._readable(self.model.variables[m])
-                   for m in structure.members)
-
-    def _structure_writable(self, name: str) -> bool:
-        structure = self.model.structures[name]
-        return all(self._writable(self.model.variables[m])
-                   for m in structure.members)
 
     def _structure_registers(self, name: str) -> list[str]:
         structure = self.model.structures[name]
@@ -234,7 +214,7 @@ class _Specializer:
         if action.target_kind == "structure":
             assert isinstance(action.value, dict)
             if action.target in self.model.structures and \
-                    self._structure_writable(action.target):
+                    self.model.structure_writable(action.target):
                 arguments = ", ".join(
                     f"{member}={self._value_expr(inner, context, loc_expr)}"
                     for member, inner in action.value.items())
@@ -252,7 +232,7 @@ class _Specializer:
             return
         expr = self._value_expr(action.value, context, loc_expr)
         target = self.model.variables.get(action.target)
-        if target is not None and (target.memory or self._writable(target)):
+        if target is not None and self.model.writable(target):
             self._w(f"set_{action.target}({expr})")
         else:
             # No specialized setter exists; the interpreter path raises
@@ -821,7 +801,7 @@ class _Specializer:
         shape_ok = self._block_shape_ok(variable)
         register = self.model.registers[variable.chunks[0].register] \
             if variable.chunks else None
-        if self._readable(variable):
+        if self.model.readable(variable):
             self._w(f"def read_{name}_block(count):")
             self._push()
             self._w("if _I._txn is not None:")
@@ -844,7 +824,7 @@ class _Specializer:
                 self._w(f"return _I.read_block({name!r}, count)")
             self._pop()
             self._w()
-        if self._writable(variable):
+        if self.model.writable(variable):
             self._w(f"def write_{name}_block(values):")
             self._push()
             self._w("if _I._txn is not None:")
@@ -891,7 +871,7 @@ class _Specializer:
                     register.set_actions:
                 continue
             owners = self.model.variables_of_register(register.name)
-            if not any(self._writable(owner) and not owner.memory and
+            if not any(self.model.writable(owner) and not owner.memory and
                        owner.structure is None for owner in owners):
                 continue
             result.append(register)
@@ -932,7 +912,7 @@ class _Specializer:
                     field = (owner.trigger_neutral_raw >> value_lsb) \
                         & chunk_mask
                     neutral |= field << chunk.lsb
-            deferrable = self._writable(owner) and not owner.memory \
+            deferrable = self.model.writable(owner) and not owner.memory \
                 and owner.structure is None
             if deferrable:
                 self._w(f"_v = _u.get({owner.name!r})")
@@ -1021,39 +1001,24 @@ class _Specializer:
             self._pop()
             self._w()
 
-        public: list[tuple[str, str]] = []  # (attach name, function name)
         for variable in model.variables.values():
-            readable = self._readable(variable)
-            writable = self._writable(variable)
             if variable.memory:
                 self._emit_memory_accessors(variable)
             else:
-                if readable:
+                if model.readable(variable):
                     if variable.structure is not None:
                         self._emit_member_getter(variable)
                     else:
                         self._emit_getter(variable)
-                if writable:
+                if model.writable(variable):
                     self._emit_setter(variable)
-            if not variable.private:
-                if readable:
-                    public.append((f"get_{variable.name}",) * 2)
-                if writable:
-                    public.append((f"set_{variable.name}",) * 2)
             if variable.behaviors.block:
                 self._emit_block_stubs(variable)
-                if not variable.private:
-                    if readable:
-                        public.append((f"read_{variable.name}_block",) * 2)
-                    if writable:
-                        public.append((f"write_{variable.name}_block",) * 2)
-        for structure in model.structures.values():
-            if self._structure_readable(structure.name):
-                self._emit_struct_getter(structure.name)
-                public.append((f"get_{structure.name}",) * 2)
-            if self._structure_writable(structure.name):
-                self._emit_struct_setter(structure.name)
-                public.append((f"set_{structure.name}",) * 2)
+        for name in model.structures:
+            if model.structure_readable(name):
+                self._emit_struct_getter(name)
+            if model.structure_writable(name):
+                self._emit_struct_setter(name)
 
         writer_registers = self._txn_writer_registers()
         for register in writer_registers:
@@ -1066,11 +1031,10 @@ class _Specializer:
         else:
             self._w("_I._txn_writers = None")
 
-        entries = ", ".join(f"{attach!r}: {func}"
-                            for attach, func in public)
+        self.stub_names = [stub for stub, _, _ in stub_catalog(model)]
+        entries = ", ".join(f"{stub!r}: {stub}" for stub in self.stub_names)
         self._w(f"return {{{entries}}}")
         self._pop()
-        self.stub_names = [attach for attach, _ in public]
         return "\n".join(self.lines) + "\n"
 
 

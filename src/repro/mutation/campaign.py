@@ -187,8 +187,8 @@ def generate_units(config: CampaignConfig) -> list[CampaignUnit]:
 # ---------------------------------------------------------------------------
 
 
-def evaluate_unit(token: dict, cache_root: str) -> dict:
-    """Evaluate one unit, publish its verdict record to the cache and
+def evaluate_unit(token: dict, cache: VerdictCache) -> dict:
+    """Evaluate one unit, publish its verdict record to ``cache`` and
     return the published record.
 
     Pure with respect to scheduling: the record depends only on the
@@ -217,7 +217,7 @@ def evaluate_unit(token: dict, cache_root: str) -> dict:
         "undetected": outcome.undetected,
         "survivors": list(outcome.survivors),
     }
-    return VerdictCache(cache_root).put(unit.key, record)
+    return cache.put(unit.key, record)
 
 
 def evaluate_unit_request(stubs, aux, *, token, cache_root):
@@ -229,7 +229,7 @@ def evaluate_unit_request(stubs, aux, *, token, cache_root):
     ``functools.partial`` over it ships to process workers through the
     request codec; the bound ``token``/``cache_root`` travel by value.
     """
-    return evaluate_unit(token, cache_root)
+    return evaluate_unit(token, VerdictCache(cache_root))
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +266,12 @@ class CampaignResult:
                 "workers": self.config.workers}
 
 
-def _run_units_serial(pending, cache_root, progress) -> dict[str, dict]:
-    """Evaluate ``pending`` in order; returns the published records
-    by unit key."""
+def _run_units_serial(pending, cache, progress) -> dict[str, dict]:
+    """Evaluate ``pending`` in order, publishing through ``cache``;
+    returns the published records by unit key."""
     records = {}
     for index, unit in enumerate(pending):
-        records[unit.key] = evaluate_unit(unit.token(), cache_root)
+        records[unit.key] = evaluate_unit(unit.token(), cache)
         if progress is not None and (index + 1) % 25 == 0:
             progress(f"evaluated {index + 1}/{len(pending)} units")
     return records
@@ -373,8 +373,7 @@ def run_campaign(config: CampaignConfig,
         placement: dict = {}
         if pending:
             if config.backend == "serial":
-                records.update(_run_units_serial(
-                    pending, str(cache.root), progress))
+                records.update(_run_units_serial(pending, cache, progress))
             else:
                 placement = _run_units_fleet(
                     config, pending, str(cache.root), telemetry,
@@ -389,7 +388,7 @@ def run_campaign(config: CampaignConfig,
                 continue
             record = cache.get(unit.key)
             if record is None:
-                record = evaluate_unit(unit.token(), str(cache.root))
+                record = evaluate_unit(unit.token(), cache)
                 salvaged += 1
             records[unit.key] = record
 

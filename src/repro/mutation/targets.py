@@ -36,7 +36,7 @@ from ..devil.compiler import compile_spec
 from ..devil.errors import DevilCheckError, DevilLexError, DevilParseError
 from ..devil.lexer import TokenKind as DevilTokenKind
 from ..devil.lexer import devil_baseline
-from ..devil.model import ResolvedDevice
+from ..devil.model import ResolvedDevice, stub_catalog
 from ..devil.types import EnumType
 from ..minic import (
     CLexError,
@@ -190,6 +190,12 @@ def c_target(name: str, source: str,
     return LanguageTarget(name, "C", source, _c_sites(base), classify)
 
 
+#: Argument count of each stub kind of the ``DEVIL_NO_REF`` macro layer
+#: (a structure setter takes one argument per member).
+_STUB_ARITY = {"get": 0, "set": 1, "block_read": 2, "block_write": 2,
+               "get_struct": 0}
+
+
 def stub_externals(model: ResolvedDevice,
                    prefix: str) -> tuple[dict[str, int | None], set[str]]:
     """Prototypes and enum constants of the generated header.
@@ -201,35 +207,16 @@ def stub_externals(model: ResolvedDevice,
     constants: set[str] = set()
     externals[f"{prefix}_init"] = len(model.params)
 
-    def readable(variable) -> bool:
-        return variable.memory or all(
-            model.registers[c.register].readable for c in variable.chunks)
-
-    def writable(variable) -> bool:
-        return variable.memory or all(
-            model.registers[c.register].writable for c in variable.chunks)
-
-    for variable in model.variables.values():
-        if variable.private:
-            continue
-        if readable(variable):
-            externals[f"{prefix}_get_{variable.name}"] = 0
-        if writable(variable):
-            externals[f"{prefix}_set_{variable.name}"] = 1
-        if variable.behaviors.block:
-            if readable(variable):
-                externals[f"{prefix}_read_{variable.name}_block"] = 2
-            if writable(variable):
-                externals[f"{prefix}_write_{variable.name}_block"] = 2
+    for stub, target, kind in stub_catalog(model):
+        if kind == "set_struct":
+            arity = len(model.structures[target].members)
+        else:
+            arity = _STUB_ARITY[kind]
+        externals[f"{prefix}_{stub}"] = arity
+    for variable in model.public_variables():
         if isinstance(variable.type, EnumType):
             for item in variable.type.items:
                 constants.add(f"{prefix.upper()}_{item.name}")
-    for structure in model.structures.values():
-        members = [model.variables[m] for m in structure.members]
-        if all(readable(m) for m in members):
-            externals[f"{prefix}_get_{structure.name}"] = 0
-        if all(writable(m) for m in members):
-            externals[f"{prefix}_set_{structure.name}"] = len(members)
     return externals, constants
 
 

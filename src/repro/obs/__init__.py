@@ -2,9 +2,9 @@
 
 The paper's case for an IDL is that the hardware operating layer
 becomes *inspectable*; this package supplies the inspection machinery
-for the reproduction.  It threads through all three execution
-strategies (interpreted runtime, bind-time specialized closures,
-generated standalone stubs) and the simulated bus:
+for the reproduction.  It threads through both execution strategies
+(interpreted runtime, bind-time specialized closures) and the
+simulated bus:
 
 * **spans** (:mod:`.spans`) — every public stub call becomes a span
   recording the device variable, the strategy, the pre/post/set
@@ -66,7 +66,6 @@ from .live import (
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .spans import (
-    BusObserver,
     Collector,
     IoEvent,
     Span,
@@ -78,7 +77,7 @@ from .spans import (
 )
 
 __all__ = [
-    "BusObserver", "Collector", "Counter", "FleetHealth",
+    "Collector", "Counter", "FleetHealth",
     "FleetTelemetry", "FlightRecorder", "Gauge", "Heartbeat",
     "Histogram", "IoEvent", "JsonlSnapshotSink", "LiveMonitor",
     "MetricsRegistry", "Span", "WorkerHealth", "disable", "enable",

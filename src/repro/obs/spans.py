@@ -10,8 +10,7 @@ variable.
 
 Spans never nest.  The runtime's action machinery re-enters the stub
 layer (a ``pre`` action on an index register calls the index variable's
-setter; the specializer inlines the same call; the generated backend
-routes it through the public method), and the three execution
+setter; the specializer inlines the same call), and the two execution
 strategies re-enter at different depths.  The collector therefore
 counts depth and only materialises the *outermost* stub call — which is
 exactly the granularity the paper argues for: driver-visible operations
@@ -31,6 +30,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from ..devil.model import stub_catalog
 from .metrics import MetricsRegistry
 
 
@@ -375,49 +375,6 @@ def wrap_stub(bus, device: str, stub: str, variable: str, kind: str,
     return observed
 
 
-def stub_catalog(model) -> list[tuple[str, str, str]]:
-    """``(stub_name, variable, kind)`` for every public stub of a model.
-
-    Mirrors the attachment rules of
-    :meth:`repro.devil.runtime.DeviceInstance._attach_stubs` — the same
-    catalogue drives instrumentation of interpreted and specialized
-    instances, so the two strategies cannot disagree about what is
-    observable.
-    """
-    def readable(variable):
-        return variable.memory or all(
-            model.registers[c.register].readable
-            for c in variable.chunks)
-
-    def writable(variable):
-        return variable.memory or all(
-            model.registers[c.register].writable
-            for c in variable.chunks)
-
-    catalog: list[tuple[str, str, str]] = []
-    for variable in model.public_variables():
-        name = variable.name
-        if readable(variable):
-            catalog.append((f"get_{name}", name, "get"))
-        if writable(variable):
-            catalog.append((f"set_{name}", name, "set"))
-        if variable.behaviors.block:
-            if readable(variable):
-                catalog.append((f"read_{name}_block", name, "block_read"))
-            if writable(variable):
-                catalog.append((f"write_{name}_block", name,
-                                "block_write"))
-    for structure in model.structures.values():
-        members = [model.variables[m] for m in structure.members]
-        if all(readable(m) for m in members):
-            catalog.append((f"get_{structure.name}", structure.name,
-                            "get_struct"))
-        if all(writable(m) for m in members):
-            catalog.append((f"set_{structure.name}", structure.name,
-                            "set_struct"))
-    return catalog
-
-
 def instrument_instance(instance) -> None:
     """Wrap every public stub attribute of a bound ``DeviceInstance``.
 
@@ -461,55 +418,3 @@ def model_port_map(model, bases: dict[str, int]) -> dict[int, str]:
             absolute = bases[port[0]] + port[1]
             ports.setdefault(absolute, name)
     return ports
-
-
-class BusObserver:
-    """Adapter giving generated stub modules ``bus.collector`` semantics.
-
-    An observe-mode generated module reports to whatever ``observer``
-    it was constructed with.  Handing it a ``BusObserver`` makes that
-    report resolve the bus's attached collector *per call* — a
-    generated instance can then be observed, detached and re-observed
-    without reconstruction, exactly like instrumented interpreted and
-    specialized instances (whose wrappers resolve ``bus.collector``
-    themselves).
-    """
-
-    __slots__ = ("_bus",)
-
-    def __init__(self, bus):
-        self._bus = bus
-
-    def span_start(self, device, stub, variable, kind, strategy):
-        collector = self._bus.collector
-        if collector is not None:
-            collector.span_start(device, stub, variable, kind, strategy)
-
-    def span_end(self, error=None):
-        collector = self._bus.collector
-        if collector is not None:
-            collector.span_end(error)
-
-    def record_action(self, kind, target):
-        collector = self._bus.collector
-        if collector is not None:
-            collector.record_action(kind, target)
-
-    def io_event(self, op, port, value, width, count=1, elided=False):
-        """Report an elided (cache-served) access for a generated stub.
-
-        Real bus operations reach the collector through the bus itself;
-        this path exists for shadow-cache hits, which cause no bus
-        traffic.  It shares the bus's ``tracing`` gate so instrumented
-        strategies agree on when elided events are visible.
-        """
-        bus = self._bus
-        if bus.tracing:
-            collector = bus.collector
-            if collector is not None:
-                collector.io_event(op, port, value, width, count, elided)
-
-    def mark_coalesced(self):
-        collector = self._bus.collector
-        if collector is not None:
-            collector.mark_coalesced()

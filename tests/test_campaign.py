@@ -170,14 +170,30 @@ def test_vcache_concurrent_puts_of_one_key(tmp_path):
 
 def test_serial_campaign_keeps_its_records(tmp_path):
     """A cold serial run folds the records it published, reading
-    none back: one probe per unit and no hits."""
+    none back: one probe per unit, no hits, and every write counted by
+    the caller's cache."""
     cache = VerdictCache(tmp_path)
     result = run_campaign(CampaignConfig(**TINY), cache=cache)
     assert (cache.hits, cache.misses) == (0, result.units)
+    assert cache.writes == result.units
     assert len(list(tmp_path.rglob("*.json"))) == result.units
     again = run_campaign(CampaignConfig(**TINY),
                          cache=VerdictCache(tmp_path))
     assert again.report.to_json() == result.report.to_json()
+
+
+def test_salvaged_units_publish_through_the_callers_cache(tmp_path,
+                                                         monkeypatch):
+    """Units a fleet run never published are evaluated by the parent,
+    and those writes count in the caller's cache too."""
+    from repro.mutation import campaign
+
+    monkeypatch.setattr(campaign, "_run_units_fleet", lambda *args: {})
+    cache = VerdictCache(tmp_path)
+    result = run_campaign(CampaignConfig(**TINY, backend="thread"),
+                          cache=cache)
+    assert result.salvaged == result.units > 0
+    assert cache.writes == result.units
 
 
 def test_campaign_recovers_from_cache_corruption(tmp_path):
@@ -376,10 +392,10 @@ def test_stale_unit_tokens_are_rejected(tmp_path):
     unit = generate_units(CampaignConfig(**TINY))[0]
     token = unit.token() | {"site_index": 10_000}
     with pytest.raises(ValueError, match="stale campaign"):
-        evaluate_unit(token, str(tmp_path))
+        evaluate_unit(token, VerdictCache(tmp_path))
     token = unit.token() | {"site_key": "number:999@0"}
     with pytest.raises(ValueError, match="stale campaign"):
-        evaluate_unit(token, str(tmp_path))
+        evaluate_unit(token, VerdictCache(tmp_path))
 
 
 # ---------------------------------------------------------------------------

@@ -58,12 +58,6 @@ class TestEmission:
         assert main(["c", good_spec, "--debug"]) == 0
         assert "#define DEVIL_DEBUG 1" in capsys.readouterr().out
 
-    def test_python_emission(self, good_spec, capsys):
-        assert main(["python", good_spec]) == 0
-        output = capsys.readouterr().out
-        assert "class ChipStubs:" in output
-        compile(output, "generated", "exec")
-
 
 class TestCompile:
     def test_default_backend_is_c(self, good_spec, capsys):

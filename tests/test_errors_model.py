@@ -196,6 +196,8 @@ class TestPostActions:
         get_body = match.group(0)
         assert get_body.index("devil_in") < get_body.index(
             "pa__set_accesses")
-        module = spec.emit_python()
-        compile(module, "pa", "exec")
-        assert "self.set_accesses(1)" in module
+        from repro.devil.specialize import generate_specialized_source
+        source = generate_specialized_source(spec.model, {"base": 0})
+        get_body = source[source.index("def get_v():"):]
+        assert get_body.index("_read(0x0, 8)") < get_body.index(
+            "set_accesses(1)")

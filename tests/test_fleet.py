@@ -9,7 +9,7 @@ Three layers of invariants, bottom-up:
 * the **fleet** produces *exactly* the accounting and device state of
   a single-worker run — not approximately: the schedules are
   deterministic, so every counter must match to the unit — and the
-  final state is identical under all three execution strategies.
+  final state is identical under both execution strategies.
 """
 
 from __future__ import annotations
@@ -180,8 +180,7 @@ def test_concurrent_first_binds_all_specs_all_strategies():
     Exercises the double-checked caches in ``repro.specs`` (compile),
     ``repro.devil.model`` (chunk/width/owner derivations),
     ``repro.devil.specialize`` (closure factories) and
-    ``repro.obs.workloads`` (generated-module exec) on cold and warm
-    paths together, then proves each bind still drives its workload.
+    on cold and warm paths together, then proves each bind still drives its workload.
     """
     jobs = [(name, strategy)
             for name in SPEC_NAMES for strategy in STRATEGIES]
@@ -210,9 +209,9 @@ def test_fleet_exactness_per_spec(spec):
     run_stress([spec, spec], schedule, workers=4)
 
 
-def test_fleet_three_strategy_state_parity():
-    """The mixed fleet ends in the same device state under interpret,
-    specialize and generated execution."""
+def test_fleet_strategy_state_parity():
+    """The mixed fleet ends in the same device state under interpreted
+    and specialized execution."""
     schedule = mixed_schedule(6)
     fingerprints = {}
     for strategy in STRATEGIES:
@@ -221,7 +220,6 @@ def test_fleet_three_strategy_state_parity():
             fleet.run(schedule)
             fingerprints[strategy] = fleet_fingerprint(fleet)
     assert fingerprints["interpret"] == fingerprints["specialize"]
-    assert fingerprints["interpret"] == fingerprints["generated"]
 
 
 @pytest.mark.slow

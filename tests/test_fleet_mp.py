@@ -210,10 +210,10 @@ def test_process_fleet_telemetry_merges_worker_latency():
             assert beat.latency_p95_us > 0.0
 
 
-@pytest.mark.parametrize("strategy", ("interpret", "generated"))
+@pytest.mark.parametrize("strategy", ("interpret",))
 def test_process_backend_strategy_parity(strategy):
     """The process backend is exact under the non-default execution
-    strategies too (the specializer is covered by the suite above)."""
+    strategy too (the specializer is covered by the suite above)."""
     devices = ["ide", "ide"]
     schedule = [("ide", ide_sector_read)] * 6
     serial = _run_backend("serial", devices, schedule,

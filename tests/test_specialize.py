@@ -1,14 +1,17 @@
-"""Cross-check harness: interpreted vs specialized vs generated stubs.
+"""Cross-check harness: interpreted vs specialized stubs.
 
-Three artifacts claim to implement one semantics — the interpreting
-runtime (``strategy="interpret"``), the bind-time specializer
-(``strategy="specialize"``) and the standalone generated Python module
-(``emit_python()``).  For every shipped specification this module runs
-the same driver workload (from :mod:`repro.obs.workloads`, shared with
-the telemetry tests and the ``devilc trace`` CLI) against identical
-simulated machines under all three and asserts byte-identical
+Two execution strategies claim to implement one semantics — the
+interpreting runtime (``strategy="interpret"``, the reference oracle)
+and the bind-time specializer (``strategy="specialize"``, the one
+compiled Python lowering).  For every shipped specification this module
+runs the same driver workload (from :mod:`repro.obs.workloads`, shared
+with the telemetry tests and the ``devilc trace`` CLI) against
+identical simulated machines under both and asserts byte-identical
 :attr:`Bus.trace` I/O traces, identical :class:`IoAccounting` counters,
 identical decoded results and byte-equal device-model end state.
+Hand-written agreement cases then pin the corners the workloads do not
+reach: an addressing automaton, conditional structure serialization,
+block transfers and debug-mode checks.
 
 Debug-mode error parity is checked separately: interpreted and
 specialized stubs must raise the *same* ``DevilRuntimeError`` text for
@@ -21,6 +24,7 @@ import re
 
 import pytest
 
+from repro.devices.cs4236 import VERSION_ID
 from repro.devil.errors import DevilRuntimeError
 from repro.devil.specialize import specialized_factory
 from repro.devil.types import EnumType, IntSetType, IntType
@@ -36,7 +40,7 @@ from repro.specs import SPEC_NAMES
 from tests.conftest import shipped_spec
 
 # ---------------------------------------------------------------------------
-# Three-way trace / accounting / result / end-state parity
+# Trace / accounting / result parity, and device end state
 # ---------------------------------------------------------------------------
 
 
@@ -62,6 +66,9 @@ def _normalize(value, seen=None):
 
 
 class TestThreeWayParity:
+    """Interpret vs specialize, three ways: bus trace, I/O accounting
+    and decoded results (plus device end state)."""
+
     @pytest.mark.parametrize("name", SPEC_NAMES)
     @pytest.mark.parametrize("debug", [False, True],
                              ids=["release", "debug"])
@@ -70,11 +77,10 @@ class TestThreeWayParity:
                    for kind in STRATEGIES}
         reference_results, reference_trace, reference_acct = \
             outputs["interpret"]
-        for kind in ("specialize", "generated"):
-            results, trace, acct = outputs[kind]
-            assert trace == reference_trace, kind
-            assert acct == reference_acct, kind
-            assert results == reference_results, kind
+        results, trace, acct = outputs["specialize"]
+        assert trace == reference_trace
+        assert acct == reference_acct
+        assert results == reference_results
 
     @pytest.mark.parametrize("name", SPEC_NAMES)
     def test_debug_and_release_do_identical_io(self, name):
@@ -96,9 +102,8 @@ class TestThreeWayParity:
             WORKLOADS[name](stubs, aux)
             states[kind] = {label: _normalize(model)
                             for label, model in aux.items()}
-        for kind in ("specialize", "generated"):
-            assert states[kind] == states["interpret"], \
-                f"{kind} device end-state differs"
+        assert states["specialize"] == states["interpret"], \
+            "specialized device end-state differs"
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +112,11 @@ class TestThreeWayParity:
 
 
 def _fresh_pair(name: str, debug: bool = True):
+    """``(bus, aux, stubs)`` on fresh machines: interpret, specialize."""
     instances = []
     for kind in ("interpret", "specialize"):
         bus, aux, bases = build_machine(name)
-        instances.append((bus,
+        instances.append((bus, aux,
                           bind_stubs(name, kind, bus, bases, debug)))
     return instances
 
@@ -161,7 +167,7 @@ class TestDebugErrorParity:
         assert scenarios, f"spec {name} produced no error scenarios"
         for label, stub_name, arguments in scenarios:
             captured = []
-            for bus, stubs in _fresh_pair(name):
+            for bus, _, stubs in _fresh_pair(name):
                 stub = getattr(stubs, stub_name, None)
                 if stub is None:
                     captured.append(None)
@@ -180,7 +186,7 @@ class TestDebugErrorParity:
                 ("cs4236", "set_mic_left_volume", 32),
                 ("permedia2", "set_rect_width", 1 << 16)):
             messages = []
-            for _, stubs in _fresh_pair(name):
+            for _, _, stubs in _fresh_pair(name):
                 with pytest.raises(DevilRuntimeError) as excinfo:
                     getattr(stubs, stub_name)(bad)
                 messages.append(str(excinfo.value))
@@ -195,7 +201,7 @@ class TestDebugErrorParity:
                   "left_dac_pad": False, "bogus": 1},
                  "unknown member(s)")):
             messages = []
-            for _, stubs in _fresh_pair("cs4236"):
+            for _, _, stubs in _fresh_pair("cs4236"):
                 with pytest.raises(DevilRuntimeError) as excinfo:
                     stubs.set_left_dac_output(**values)
                 messages.append(str(excinfo.value))
@@ -204,13 +210,98 @@ class TestDebugErrorParity:
 
     def test_mode_violation_identical(self):
         messages = []
-        for bus, stubs in _fresh_pair("pic8259"):
+        for bus, _, stubs in _fresh_pair("pic8259"):
             with pytest.raises(DevilRuntimeError) as excinfo:
                 stubs.set_irq_mask(0xFF)  # still in initialization mode
             messages.append(str(excinfo.value))
             assert bus.trace == []
         assert messages[0] == messages[1]
         assert "only addressable in mode" in messages[0]
+
+
+# ---------------------------------------------------------------------------
+# Hand-written agreement cases (interpret vs specialize)
+# ---------------------------------------------------------------------------
+
+
+class TestAgreementBusmouse:
+    def test_full_session_identical(self):
+        pair = _fresh_pair("busmouse")
+        for _, aux, stubs in pair:
+            aux["mouse"].set_buttons(0b100)
+            stubs.set_config("CONFIGURATION")
+            stubs.set_signature(0xA5)
+            assert stubs.get_signature() == 0xA5
+            state = stubs.get_mouse_state()
+            assert state == {"dx": 5, "dy": -3, "buttons": 4}
+            assert stubs.get_dy() == -3
+        assert pair[0][0].trace == pair[1][0].trace
+
+    def test_debug_check_in_specialized_code(self):
+        messages = []
+        for _, _, stubs in _fresh_pair("busmouse"):
+            with pytest.raises(DevilRuntimeError, match="before") as caught:
+                stubs.get_dx()  # structure not fetched yet
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+
+    def test_enum_check_in_specialized_code(self):
+        messages = []
+        for _, _, stubs in _fresh_pair("busmouse"):
+            with pytest.raises(DevilRuntimeError,
+                               match="is not a symbol") as caught:
+                stubs.set_config("NOPE")
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+
+
+class TestAgreementAutomaton:
+    def test_cs4236_extended_access(self):
+        """The ``xm`` addressing automaton behind a structure write:
+        the interpreter's generic ``set_structure`` and the specialized
+        structure stub drive the same I/O."""
+        pair = _fresh_pair("cs4236", debug=False)
+        values = {"left_dac_attenuation": 9, "left_dac_mute": True,
+                  "left_dac_pad": False}
+        (_, _, interpreted), (_, _, specialized) = pair
+        interpreted.set_structure("left_dac_output", values)
+        specialized.set_left_dac_output(**values)
+        for _, aux, stubs in pair:
+            assert stubs.get_version() == VERSION_ID
+            stubs.set_ACF(True)
+            assert not aux["chip"].extended_mode
+        assert pair[0][0].trace == pair[1][0].trace
+
+
+class TestAgreementConditionalSerialization:
+    def test_pic_init_sequences(self):
+        for sngl, ic4, expected_words in (
+                ("CASCADED", True, 4), ("SINGLE", False, 2),
+                ("CASCADED", False, 3), ("SINGLE", True, 3)):
+            values = dict(addr_vector=0, ltim="EDGE", adi="INTERVAL8",
+                          sngl=sngl, ic4=ic4, vector_base=0x20, slaves=4,
+                          sfnm=False, buffered=False, master="BUF_SLAVE",
+                          aeoi=False, microprocessor="X8086")
+            pair = _fresh_pair("pic8259")
+            (_, _, interpreted), (_, _, specialized) = pair
+            interpreted.set_structure("init", values)
+            specialized.set_init(**values)
+            logs = [aux["pic"].init_log[0] for _, aux, _ in pair]
+            assert logs[0] == logs[1]
+            assert len(logs[0]) == expected_words
+
+
+class TestAgreementBlockTransfer:
+    def test_ne2000_remote_dma(self):
+        pair = _fresh_pair("ne2000")
+        for _, aux, stubs in pair:
+            stubs.set_st("START")
+            stubs.set_remote_byte_count(8)
+            stubs.set_remote_start_address(0x4000)
+            stubs.set_rd("REMOTE_WRITE")
+            stubs.write_dma_data_block([1, 2, 3, 4])
+            assert aux["nic"].ram[0:8] == bytes([1, 0, 2, 0, 3, 0, 4, 0])
+        assert pair[0][0].trace == pair[1][0].trace
 
 
 # ---------------------------------------------------------------------------

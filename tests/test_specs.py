@@ -113,7 +113,3 @@ class TestCompiledSpecApi:
         header = shipped_spec(spec_name).emit_c(prefix="t")
         assert header.startswith("/* Generated by devilc")
         assert "t_state_t" in header
-
-    def test_emit_python_produces_module(self, spec_name):
-        module = shipped_spec(spec_name).emit_python()
-        assert "class" in module
